@@ -4,23 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quat import Quaternion
+
+def to_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split q = z1 + z2 j into complex arrays z1 = w + ix, z2 = y + iz."""
+    return p[..., 0] + 1j * p[..., 1], p[..., 2] + 1j * p[..., 3]
 
 
-def as_array(values) -> np.ndarray:
-    """Stack quaternions (or nested sequences of them) into an (..., 4) array."""
-    if isinstance(values, Quaternion):
-        return np.array(values.components(), dtype=float)
-    if isinstance(values, np.ndarray):
-        return values.astype(float, copy=False)
-    return np.array([as_array(v) for v in values], dtype=float)
-
-
-def to_quaternions(arr: np.ndarray) -> list[Quaternion]:
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim == 1:
-        return [Quaternion(*arr)]
-    return [Quaternion(*row) for row in arr.reshape(-1, 4)]
+def from_pairs(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Inverse of to_pairs: the (..., 4) components of z1 + z2 j."""
+    return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
 
 
 def mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:

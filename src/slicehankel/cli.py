@@ -24,7 +24,6 @@ from .hankel import (
     build_hankel_matrix,
     commutation_residual,
     complex_embed,
-    hankel_from_symbol,
     operator_norm,
     QuaternionMatrix,
 )
@@ -61,6 +60,16 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "output_path":
+                ok = value is None or isinstance(value, str)
+            else:
+                ok = isinstance(value, int) and not isinstance(value, bool)
+            if not ok:
+                raise ValueError(
+                    f"config field {f.name!r} has type {type(value).__name__}"
+                )
         if self.truncation_N < 1 or self.grid < 16 or self.degree < 0:
             raise ValueError("sizes must be positive")
         if self.budget < 1 or self.trials < 0:
@@ -70,6 +79,8 @@ class ExperimentConfig:
 def _load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     known = {f.name for f in fields(ExperimentConfig)}
     bad = set(raw) - known
     if bad:

@@ -80,9 +80,6 @@ class QuaternionMatrix:
         prod = arrays.mul(self.data, vec[None, :, :])
         return prod.sum(axis=1)
 
-    def frobenius(self) -> float:
-        return float(np.sqrt(np.sum(np.square(self.data))))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuaternionMatrix):
             return NotImplemented
@@ -107,33 +104,30 @@ class HankelOperator:
         return build_hankel_matrix(self.alpha, self.N)
 
 
-def _alpha_at(alpha, m: int) -> Quaternion:
-    if 0 <= m < len(alpha):
-        return alpha[m]
-    return Quaternion()
+def _components(qs: Sequence[Quaternion]) -> np.ndarray:
+    return np.array([q.components() for q in qs], dtype=float).reshape(-1, 4)
+
+
+def _hankel_data(alpha: Sequence[Quaternion], rows: int, cols: int) -> np.ndarray:
+    """(rows, cols, 4) array with entry (j, k) = alpha(j+k), zero past the data."""
+    padded = np.zeros((max(rows + cols - 1, 0), 4))
+    m = min(len(alpha), len(padded))
+    padded[:m] = _components(alpha[:m])
+    return padded[np.add.outer(np.arange(rows), np.arange(cols))]
 
 
 def apply_gamma(alpha: Sequence[Quaternion], v: Sequence[Quaternion]) -> list[Quaternion]:
     """(Gamma_alpha v)(j) = sum_k alpha(j+k) v(k), alpha on the left."""
-    out = []
-    for j in range(len(alpha)):
-        acc = Quaternion()
-        for k, vk in enumerate(v):
-            acc = acc + _alpha_at(alpha, j + k) * vk
-        out.append(acc)
-    return out
+    data = _hankel_data(alpha, len(alpha), len(v))
+    prod = arrays.mul(data, _components(v)[None, :, :]).sum(axis=1)
+    return [Quaternion(*row) for row in prod]
 
 
 def build_hankel_matrix(alpha: Sequence[Quaternion], N: int) -> QuaternionMatrix:
     """M[j][k] = alpha(j+k) for 0 <= j, k < N."""
     if N < 1:
         raise ValueError("truncation size must be >= 1")
-    data = np.zeros((N, N, 4))
-    for m in range(min(len(alpha), 2 * N - 1)):
-        comp = alpha[m].components()
-        for j in range(max(0, m - N + 1), min(m, N - 1) + 1):
-            data[j, m - j] = comp
-    return QuaternionMatrix(data)
+    return QuaternionMatrix(_hankel_data(alpha, N, N))
 
 
 def hankel_from_symbol(phi: SliceLaurentSeries, N: int) -> HankelOperator:
@@ -153,11 +147,10 @@ def bilinear_form(
     alpha: Sequence[Quaternion], a: Sequence[Quaternion], b: Sequence[Quaternion]
 ) -> Quaternion:
     """G_alpha(a, b) = sum_n sum_k alpha(n+k) a_k b_n, products left to right."""
-    acc = Quaternion()
-    for n, bn in enumerate(b):
-        for k, ak in enumerate(a):
-            acc = acc + _alpha_at(alpha, n + k) * ak * bn
-    return acc
+    data = _hankel_data(alpha, len(b), len(a))
+    terms = arrays.mul(arrays.mul(data, _components(a)[None, :, :]),
+                       _components(b)[:, None, :])
+    return Quaternion(*terms.sum(axis=(0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +160,7 @@ def bilinear_form(
 
 def complex_embed(m: QuaternionMatrix) -> np.ndarray:
     """Entrywise block [[z1, z2], [-conj(z2), conj(z1)]] for q = z1 + z2 j."""
-    d = m.data
-    z1 = d[:, :, 0] + 1j * d[:, :, 1]
-    z2 = d[:, :, 2] + 1j * d[:, :, 3]
+    z1, z2 = arrays.to_pairs(m.data)
     out = np.empty((2 * m.rows, 2 * m.cols), dtype=complex)
     out[0::2, 0::2] = z1
     out[0::2, 1::2] = z2
@@ -181,8 +172,7 @@ def complex_embed(m: QuaternionMatrix) -> np.ndarray:
 def embed_vector(vec: np.ndarray) -> np.ndarray:
     """Quaternion column (n, 4) -> complex column (2n,), the first block column."""
     vec = np.asarray(vec, dtype=float)
-    z1 = vec[:, 0] + 1j * vec[:, 1]
-    z2 = vec[:, 2] + 1j * vec[:, 3]
+    z1, z2 = arrays.to_pairs(vec)
     out = np.empty(2 * vec.shape[0], dtype=complex)
     out[0::2] = z1
     out[1::2] = -np.conj(z2)
@@ -192,9 +182,7 @@ def embed_vector(vec: np.ndarray) -> np.ndarray:
 def deembed_vector(u: np.ndarray) -> np.ndarray:
     """Inverse of embed_vector: complex (2n,) -> quaternion (n, 4)."""
     u = np.asarray(u, dtype=complex)
-    z1 = u[0::2]
-    z2 = -np.conj(u[1::2])
-    return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=1)
+    return arrays.from_pairs(u[0::2], -np.conj(u[1::2]))
 
 
 def operator_norm(m: QuaternionMatrix) -> float:

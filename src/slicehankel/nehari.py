@@ -6,6 +6,10 @@ a maximizing vector extracted from the SVD of the complex embedding; the
 optimizer minimizes the sampled sup norm of phi - f over polynomial f by
 multi-start coordinate pattern search.  For finite symbols the two routes and
 the Hankel norm must agree, which is what the verification report checks.
+
+All sampling on the boundary (the grid evaluator, the reference-slice samples
+and the closed-form sphere sup) lives in ``series``; this module only combines
+the samples.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import numpy as np
 
 from . import arrays
 from .hankel import (
-    HankelOperator,
     build_hankel_matrix,
     complex_embed,
     deembed_vector,
@@ -29,6 +32,7 @@ from .hankel import (
 from .quat import Quaternion
 from .series import (
     SliceLaurentSeries,
+    _evaluate_many,
     _grid_guard,
     _reference_samples,
     _sup_values,
@@ -57,8 +61,12 @@ __all__ = [
 _ZERO_NORM_TOL = 1e-13
 
 
-def _negative_count(phi: SliceLaurentSeries) -> int:
-    return sum(1 for n in phi.support if n < 0)
+def _truncation_guard(phi: SliceLaurentSeries, N: int) -> None:
+    """Refuse a truncation N too small for the negative support depth
+    -n_min, which would cut part of the symbol off the matrix."""
+    need = 2 * max(0, -phi.n_min) + 8
+    if N < need:
+        raise ValueError(f"truncation {N} below guard {need}")
 
 
 def hankel_norm(phi: SliceLaurentSeries, N: int) -> float:
@@ -67,10 +75,7 @@ def hankel_norm(phi: SliceLaurentSeries, N: int) -> float:
     For finite symbols the matrix has a fixed finite nonzero block, so the
     value is independent of N once N exceeds the negative support depth.
     """
-    if N < 2 * _negative_count(phi) + 8:
-        raise ValueError(
-            f"truncation {N} below guard {2 * _negative_count(phi) + 8}"
-        )
+    _truncation_guard(phi, N)
     return operator_norm(hankel_from_symbol(phi, N).matrix())
 
 
@@ -79,6 +84,7 @@ def maximizing_vector(phi: SliceLaurentSeries, N: int) -> SliceLaurentSeries:
     tolerance), from the top right singular vector of the embedding.
 
     Defined up to a right unit-quaternion factor."""
+    _truncation_guard(phi, N)
     m = hankel_from_symbol(phi, N).matrix()
     emb = complex_embed(m)
     _, sv, vh = np.linalg.svd(emb)
@@ -92,38 +98,6 @@ def maximizing_vector(phi: SliceLaurentSeries, N: int) -> SliceLaurentSeries:
     )
     nrm = l2_norm(g)
     return g.times_right(Quaternion(1.0 / nrm))
-
-
-# ---------------------------------------------------------------------------
-# pointwise evaluation helpers (vectorized over grids of boundary points)
-# ---------------------------------------------------------------------------
-
-
-def _eval_many_at_units(
-    series_seq: Sequence[SliceLaurentSeries],
-    theta: np.ndarray,
-    units: np.ndarray,
-) -> list[np.ndarray]:
-    """Evaluate several series at the points e^{theta_k I_k}.
-
-    theta: (g,), units: (g, 3) unit vectors.  Returns (g, 4) component arrays.
-    The trig basis over the union of supports is built once.
-    """
-    all_ns = sorted(set().union(*(set(s.coeffs) for s in series_seq)) or {0})
-    ns = np.array(all_ns, dtype=float)
-    pos = {n: i for i, n in enumerate(all_ns)}
-    phase = np.exp(1j * theta[:, None] * ns[None, :])
-    cosm, sinm = phase.real, phase.imag
-    uq = np.concatenate([np.zeros((len(theta), 1)), units], axis=1)
-    out = []
-    for s in series_seq:
-        comp = np.zeros((len(all_ns), 4))
-        for n, a in s.coeffs.items():
-            comp[pos[n]] = a.components()
-        c = cosm @ comp
-        si = sinm @ comp
-        out.append(c + arrays.mul(uq, si))
-    return out
 
 
 @dataclass
@@ -168,7 +142,7 @@ def constructive_best_approx(
     f_samples_plus = None
     for sign in (1.0, -1.0):
         theta = sign * t
-        (hv,) = _eval_many_at_units([h], theta, ref_units)
+        (hv,) = _evaluate_many([h], theta, ref_units)
         hn2 = np.sum(np.square(hv), axis=1)
         hmask = hn2 <= (1e-12) ** 2
         hv_safe = np.where(hmask[:, None], np.array([1.0, 0, 0, 0]), hv)
@@ -184,7 +158,7 @@ def constructive_best_approx(
             imn[:, None] > 1e-14, im / np.maximum(imn, 1e-300)[:, None],
             np.array([1.0, 0.0, 0.0]),
         )
-        gsv, gcv = _eval_many_at_units([gs, gc], theta2, units2)
+        gsv, gcv = _evaluate_many([gs, gc], theta2, units2)
         gsn = arrays.norm(gsv)
         excl = (gsn <= 1e-10) & ~hmask
         gsv_safe = np.where(excl[:, None], np.array([1.0, 0, 0, 0]), gsv)
@@ -195,21 +169,17 @@ def constructive_best_approx(
         excluded |= excl
         corr[sign] = c
         if sign > 0:
-            (phi_v,) = _eval_many_at_units([phi], theta, ref_units)
+            (phi_v,) = _evaluate_many([phi], theta, ref_units)
             f_samples_plus = phi_v - c
 
     rp, rm = corr[1.0], corr[-1.0]
-    vals = _sup_values(
-        rp[:, 0] + 1j * rp[:, 1], rp[:, 2] + 1j * rp[:, 3],
-        rm[:, 0] + 1j * rm[:, 1], rm[:, 2] + 1j * rm[:, 3],
-    )
+    vals = _sup_values(*arrays.to_pairs(rp), *arrays.to_pairs(rm))
     good = ~excluded
     distance = float(np.max(vals[good])) if np.any(good) else 0.0
     excluded_fraction = float(np.mean(excluded))
     status = "warning" if excluded_fraction > 0.01 else "ok"
 
-    fa = np.fft.fft(f_samples_plus[:, 0] + 1j * f_samples_plus[:, 1]) / grid
-    fb = np.fft.fft(f_samples_plus[:, 2] + 1j * f_samples_plus[:, 3]) / grid
+    fa, fb = (np.fft.fft(z) / grid for z in arrays.to_pairs(f_samples_plus))
     freqs = np.fft.fftfreq(grid, d=1.0 / grid)
     neg = freqs < 0
     mass = float(np.sqrt(np.sum(np.abs(fa[neg]) ** 2 + np.abs(fb[neg]) ** 2)))
@@ -221,11 +191,12 @@ def constructive_best_approx(
 def _series_from_spectrum(fa, fb, freqs, cutoff: int) -> SliceLaurentSeries:
     mags = np.abs(fa) + np.abs(fb)
     floor = 1e-9 * max(float(np.max(mags)), 1e-300)
+    comps = arrays.from_pairs(fa, fb)
     coeffs = {}
     for i, nf in enumerate(freqs):
         n = int(nf)
         if 0 <= n <= cutoff and mags[i] > floor:
-            coeffs[n] = Quaternion(fa[i].real, fa[i].imag, fb[i].real, fb[i].imag)
+            coeffs[n] = Quaternion(*comps[i])
     return SliceLaurentSeries(coeffs)
 
 
@@ -283,9 +254,7 @@ def optimize_distance(
 
     def batch_objective(xs: np.ndarray, grids) -> np.ndarray:
         bas, ap, bp, am, bm = grids
-        xr = xs.reshape(len(xs), d1, 4)
-        fa = xr[:, :, 0] + 1j * xr[:, :, 1]
-        fb = xr[:, :, 2] + 1j * xr[:, :, 3]
+        fa, fb = arrays.to_pairs(xs.reshape(len(xs), d1, 4))
         vals = _sup_values(ap - fa @ bas, bp - fb @ bas,
                            am - fa @ np.conj(bas), bm - fb @ np.conj(bas))
         return vals.max(axis=1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from math import fsum
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -149,6 +149,8 @@ def evaluate(f: SliceLaurentSeries, p: BoundaryPoint) -> Quaternion:
     Grouped as C + I*S with C = sum cos(nt) a_n, S = sum sin(nt) a_n, which is
     the same sum with fewer quaternion products.
     """
+    # Kept apart from _evaluate_many: the pointwise API, and the independent
+    # scalar oracle the sampled sup norms are tested against.
     t = p.angle
     cw = cx = cy = cz = 0.0
     sw = sx = sy = sz = 0.0
@@ -170,6 +172,34 @@ def evaluate(f: SliceLaurentSeries, p: BoundaryPoint) -> Quaternion:
         cy - ux * sz + uy * sw + uz * sx,
         cz + ux * sy - uy * sx + uz * sw,
     )
+
+
+def _evaluate_many(
+    series_seq: Sequence[SliceLaurentSeries],
+    theta: np.ndarray,
+    units: np.ndarray,
+) -> list[np.ndarray]:
+    """Evaluate several series at the points e^{theta_k I_k}.
+
+    theta: (g,), units: (g, 3) unit vectors.  Returns (g, 4) component arrays,
+    each C + I*S as in evaluate.  The trig basis over the union of supports
+    is built once.
+    """
+    all_ns = sorted(set().union(*(set(s.coeffs) for s in series_seq)) or {0})
+    ns = np.array(all_ns, dtype=float)
+    pos = {n: i for i, n in enumerate(all_ns)}
+    phase = np.exp(1j * theta[:, None] * ns[None, :])
+    cosm, sinm = phase.real, phase.imag
+    uq = np.concatenate([np.zeros((len(theta), 1)), units], axis=1)
+    out = []
+    for s in series_seq:
+        comp = np.zeros((len(all_ns), 4))
+        for n, a in s.coeffs.items():
+            comp[pos[n]] = a.components()
+        c = cosm @ comp
+        si = sinm @ comp
+        out.append(c + arrays.mul(uq, si))
+    return out
 
 
 def extend_from_slice(
@@ -307,13 +337,11 @@ def l2_norm(f: SliceLaurentSeries) -> float:
 
 
 def sphere_sup(a: Quaternion, b: Quaternion) -> float:
-    """sup over J in S of |a + Jb|, in closed form.
-
-    |a + Jb|^2 = |a|^2 + |b|^2 - 2 <Im(b conj(a)), J>, maximized at
-    J = -Im(b conj(a)) / |Im(b conj(a))|.
-    """
-    p = b * a.conjugate()
-    return math.sqrt(a.norm_sq() + b.norm_sq() + 2.0 * p.imag_norm())
+    """sup over J in S of |a + Jb|, in closed form: the one-point case of
+    _sup_values, whose reference-slice values at J = +-i are a +- ib."""
+    a1, a2 = arrays.to_pairs(np.array(a.components()))
+    b1, b2 = arrays.to_pairs(np.array(b.components()))
+    return float(_sup_values(a1 + 1j * b1, a2 + 1j * b2, a1 - 1j * b1, a2 - 1j * b2))
 
 
 def _pair_arrays(f: SliceLaurentSeries):
@@ -323,14 +351,16 @@ def _pair_arrays(f: SliceLaurentSeries):
     comp = np.array([f.coeffs[int(n)].components() for n in ns], dtype=float)
     if comp.size == 0:
         comp = np.zeros((0, 4))
-    alpha = comp[:, 0] + 1j * comp[:, 1]
-    beta = comp[:, 2] + 1j * comp[:, 3]
+    alpha, beta = arrays.to_pairs(comp)
     return ns, alpha, beta
 
 
 def _reference_samples(f: SliceLaurentSeries, grid: int):
     """Samples of f at e^{it_k} and e^{-it_k}, t_k = 2 pi k / grid, as complex
     pairs (A+, B+, A-, B-)."""
+    # Kept apart from _evaluate_many: deriving these from the component
+    # evaluator moves the last digits of the sampled sup norms and of the
+    # optimized distances built on them.
     t = 2.0 * np.pi * np.arange(grid) / grid
     ns, alpha, beta = _pair_arrays(f)
     if ns.size == 0:
@@ -347,8 +377,10 @@ def _reference_samples(f: SliceLaurentSeries, grid: int):
 def _sup_values(ap, bp, am, bm):
     """Pointwise sup over J of |f(e^{tJ})| from the +/- reference samples.
 
-    With a = (f+ + f-)/2 and b = (i/2)(f- - f+) the closed-form sphere sup
-    reduces to |f+|^2,|f-|^2 cross terms; see sphere_sup.
+    With f(e^{tJ}) = a + Jb, |a + Jb|^2 = |a|^2 + |b|^2 - 2 <Im(b conj(a)), J>
+    is largest at J = -Im(b conj(a)) / |Im(b conj(a))|.  Written with
+    a = (f+ + f-)/2 and b = (i/2)(f- - f+) it reduces to |f+|^2, |f-|^2 and
+    cross terms.
     """
     s1 = np.abs(ap) ** 2
     s2 = np.abs(am) ** 2
@@ -387,20 +419,6 @@ def linf_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _slice_sample_values(f: SliceLaurentSeries, unit: ImaginaryUnit, grid: int) -> np.ndarray:
-    """f(e^{t_k I}) for t_k = 2 pi k / grid, as a (grid, 4) component array."""
-    t = 2.0 * np.pi * np.arange(grid) / grid
-    ns = np.array(sorted(f.coeffs), dtype=float)
-    if ns.size == 0:
-        return np.zeros((grid, 4))
-    comp = np.array([f.coeffs[int(n)].components() for n in ns], dtype=float)
-    phase = np.exp(1j * np.outer(t, ns))
-    c = phase.real @ comp
-    s = phase.imag @ comp
-    uq = np.array([0.0, unit.x, unit.y, unit.z])
-    return c + arrays.mul(np.broadcast_to(uq, s.shape), s)
-
-
 def bmo_norm(
     f: SliceLaurentSeries,
     n_units: int = 64,
@@ -420,10 +438,13 @@ def bmo_norm(
 
     rng = np.random.default_rng(0)
     units = [REFERENCE_UNIT] + [sample_sphere(rng) for _ in range(n_units)]
+    t = 2.0 * np.pi * np.arange(grid) / grid
     dt = 2.0 * np.pi / grid
     best = 0.0
     for unit in units:
-        vals = _slice_sample_values(f, unit, grid)
+        (vals,) = _evaluate_many(
+            [f], t, np.broadcast_to([unit.x, unit.y, unit.z], (grid, 3))
+        )
         ext = np.concatenate([vals, vals[:1]], axis=0)
         for m in range(min(n_arcs, 8) + 1):
             npts = grid >> m

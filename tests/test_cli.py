@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,23 @@ class TestConfig:
         assert code == 2
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize("raw, field", [
+        ({"seed": "x"}, "seed"),
+        ({"grid": "4096"}, "grid"),
+        ({"trials": True}, "trials"),
+        ({"budget": 1.5}, "budget"),
+        ({"output_path": 3}, "output_path"),
+        (5, "JSON object"),
+    ])
+    def test_bad_config_types_are_usage_errors(self, tmp_path, capsys, raw, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code, out, err = run(capsys, ["verify", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+        assert err.count("\n") == 1
+
     def test_invalid_sizes_rejected(self, capsys):
         code, _, err = run(capsys, ["verify", "--grid", "1"])
         assert code == 2
@@ -152,6 +173,20 @@ class TestHilbertAndDemo:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_python_m_entry_point(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "slicehankel", "hilbert", "--n", "4"],
+            capture_output=True, text=True, env=env, cwd=root, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("N,norm\n1,1.0\n")
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "table.csv"

@@ -68,6 +68,11 @@ class TestHankelMatrix:
         got = apply_gamma(alpha, v)
         expected = m.apply(np.array([q.components() for q in v]))
         for j in range(5):
+            brute = Quaternion()
+            for k in range(5):
+                if j + k < len(alpha):
+                    brute = brute + alpha[j + k] * v[k]
+            assert got[j].isclose(brute, tol=1e-12)
             assert got[j].isclose(Quaternion(*expected[j]), tol=1e-12)
 
     def test_matrix_action_matches_series_action(self):
@@ -96,6 +101,12 @@ class TestHankelMatrix:
         a = [Quaternion(*rng.normal(size=4)) for _ in range(4)]
         b = [Quaternion(*rng.normal(size=4)) for _ in range(4)]
         form = bilinear_form(alpha, a, b)
+        brute = Quaternion()
+        for n, bn in enumerate(b):
+            for k, ak in enumerate(a):
+                if n + k < len(alpha):
+                    brute = brute + alpha[n + k] * ak * bn
+        assert form.isclose(brute, tol=1e-12)
         ga = apply_gamma(alpha, a)
         expected = Quaternion()
         for n, bn in enumerate(b):

@@ -56,6 +56,19 @@ class TestHankelNorm:
         with pytest.raises(ValueError):
             hankel_norm(phi, 10)
 
+    def test_truncation_guard_measures_depth(self):
+        # one coefficient at depth 30: a count-based guard let N = 10 through
+        # and the truncated matrix was zero, so the norm read 0.0
+        phi = SliceLaurentSeries({-30: ONE})
+        for call in (
+            lambda: hankel_norm(phi, 10),
+            lambda: maximizing_vector(phi, 10),
+            lambda: constructive_best_approx(phi, 10, 512),
+        ):
+            with pytest.raises(ValueError, match="below guard 68"):
+                call()
+        assert hankel_norm(phi, 68) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestMaximizingVector:
     def test_rank_one_constant(self):
