@@ -48,6 +48,11 @@ from .series import (
 
 __all__ = ["ExperimentConfig", "main"]
 
+# size caps checked before anything is allocated: the sampling grid sizes
+# every boundary array, and --n sizes the dense Hilbert matrices
+MAX_GRID = 2**20
+MAX_HILBERT_N = 2048
+
 
 @dataclass
 class ExperimentConfig:
@@ -72,6 +77,8 @@ class ExperimentConfig:
                 )
         if self.truncation_N < 1 or self.grid < 16 or self.degree < 0:
             raise ValueError("sizes must be positive")
+        if self.grid > MAX_GRID:
+            raise ValueError(f"grid {self.grid} above the limit {MAX_GRID}")
         if self.budget < 1 or self.trials < 0:
             raise ValueError("budget must be positive and trials nonnegative")
 
@@ -223,6 +230,10 @@ def cmd_norm(config: ExperimentConfig, symbol_path: str) -> int:
 
 
 def cmd_hilbert(config: ExperimentConfig) -> int:
+    if config.truncation_N > MAX_HILBERT_N:
+        raise ValueError(
+            f"--n {config.truncation_N} above the hilbert limit {MAX_HILBERT_N}"
+        )
     sizes = []
     n = 1
     while n <= config.truncation_N:
@@ -347,7 +358,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

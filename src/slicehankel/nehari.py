@@ -22,10 +22,10 @@ import numpy as np
 
 from . import arrays
 from .hankel import (
+    QuaternionMatrix,
     build_hankel_matrix,
     complex_embed,
     deembed_vector,
-    hankel_from_symbol,
     operator_norm,
     apply_H,
 )
@@ -69,35 +69,43 @@ def _truncation_guard(phi: SliceLaurentSeries, N: int) -> None:
         raise ValueError(f"truncation {N} below guard {need}")
 
 
-def hankel_norm(phi: SliceLaurentSeries, N: int) -> float:
-    """Operator norm of the truncated Hankel matrix of phi.
+def _hankel_block(phi: SliceLaurentSeries) -> QuaternionMatrix:
+    """The k x k block holding every nonzero entry of H_phi, since entry
+    (j, l) = phi_hat(-1-j-l) vanishes once j + l >= -n_min; k = -n_min, or a
+    1 x 1 zero block for an analytic symbol."""
+    k = max(1, -phi.n_min)
+    return build_hankel_matrix([phi.coefficient(-1 - m) for m in range(k)], k)
 
-    For finite symbols the matrix has a fixed finite nonzero block, so the
-    value is independent of N once N exceeds the negative support depth.
+
+def hankel_norm(phi: SliceLaurentSeries, N: int) -> float:
+    """Operator norm of the Hankel operator of phi.
+
+    The SVD runs on the k x k block of nonzero entries, k = -n_min, so the
+    cost does not grow with N; N only has to pass the truncation guard.
     """
     _truncation_guard(phi, N)
-    return operator_norm(hankel_from_symbol(phi, N).matrix())
+    return operator_norm(_hankel_block(phi))
 
 
 def maximizing_vector(phi: SliceLaurentSeries, N: int) -> SliceLaurentSeries:
     """Unit g in the Hardy space with ||H_phi g|| = ||H_phi|| (up to SVD
-    tolerance), from the top right singular vector of the embedding.
+    tolerance), from the top right singular vector of the embedded k x k
+    block of nonzero entries; N only has to pass the truncation guard.
 
-    Defined up to a right unit-quaternion factor."""
+    g is defined up to a right unit-quaternion factor; the gauge fixed here
+    makes its lowest nonzero coefficient real and positive."""
     _truncation_guard(phi, N)
-    m = hankel_from_symbol(phi, N).matrix()
-    emb = complex_embed(m)
-    _, sv, vh = np.linalg.svd(emb)
+    _, sv, vh = np.linalg.svd(complex_embed(_hankel_block(phi)))
     if sv[0] <= 1e-14:
         raise ValueError("zero operator has no maximizing vector")
     comps = deembed_vector(np.conj(vh[0]))
     mags = np.sqrt(np.sum(np.square(comps), axis=1))
     keep = mags > 1e-13 * float(np.max(mags))
     g = SliceLaurentSeries(
-        {k: Quaternion(*comps[k]) for k in range(N) if keep[k]}
+        {k: Quaternion(*comps[k]) for k in range(len(comps)) if keep[k]}
     )
-    nrm = l2_norm(g)
-    return g.times_right(Quaternion(1.0 / nrm))
+    g = g.times_right(g.coefficient(g.n_min).conjugate())
+    return g.times_right(Quaternion(1.0 / l2_norm(g)))
 
 
 @dataclass
@@ -248,16 +256,31 @@ def optimize_distance(
     # probes are screened on a strided subgrid and only the most promising
     # ones re-evaluated on the full grid; reported values are always exact
     stride = max(1, grid // 1024)
-    coarse = (basis[:, ::stride], pap[::stride], pbp[::stride],
-              pam[::stride], pbm[::stride])
-    fine = (basis, pap, pbp, pam, pbm)
+    coarse = (basis[:, ::stride], np.conj(basis[:, ::stride]), pap[::stride],
+              pbp[::stride], pam[::stride], pbm[::stride])
+    fine = (basis, np.conj(basis), pap, pbp, pam, pbm)
+
+    # Every batch is evaluated in one preallocated scratch block (four
+    # residuals plus the scratch of _sup_values), sized for the largest
+    # batches: 2 * dim coarse probes, n_exact fine ones.  Grid-sized
+    # temporaries allocated and freed each round cost more in page faults
+    # than the arithmetic, by an amount that depends on the allocator's history.
+    n_exact = 4
+    size = max(2 * dim * coarse[0].shape[1], n_exact * grid)
+    cwork = np.empty((6, size), dtype=complex)
+    rwork = np.empty((5, size))
 
     def batch_objective(xs: np.ndarray, grids) -> np.ndarray:
-        bas, ap, bp, am, bm = grids
+        bas, cbas, ap, bp, am, bm = grids
+        shape = (len(xs), bas.shape[1])
+        n = shape[0] * shape[1]
+        c = [buf[:n].reshape(shape) for buf in cwork]
+        r = [buf[:n].reshape(shape) for buf in rwork]
         fa, fb = arrays.to_pairs(xs.reshape(len(xs), d1, 4))
-        vals = _sup_values(ap - fa @ bas, bp - fb @ bas,
-                           am - fa @ np.conj(bas), bm - fb @ np.conj(bas))
-        return vals.max(axis=1)
+        for res, f, b, s in zip(c, (fa, fb, fa, fb), (bas, bas, cbas, cbas),
+                                (ap, bp, am, bm)):
+            np.subtract(s, np.matmul(f, b, out=res), out=res)
+        return _sup_values(*c[:4], work=(*r, *c[4:])).max(axis=1)
 
     scale = max(1.0, float(np.max(_sup_values(pap, pbp, pam, pbm))))
 
@@ -300,7 +323,7 @@ def optimize_distance(
             screen = batch_objective(probes, coarse)
             evaluations += take
             spent += take
-            top = np.argsort(screen)[: min(4, take)]
+            top = np.argsort(screen)[: min(n_exact, take)]
             exact = batch_objective(probes[top], fine)
             j = int(np.argmin(exact))
             if exact[j] < fx - 1e-15 * scale:
@@ -419,7 +442,8 @@ def verify_nehari_bounds(
     """Check d <= ||Gamma_alpha|| <= 2d for the associated symbol, with
     d = min(constructive, optimized) distance, and record whether the
     stronger norm-equals-distance identity holds within tolerance."""
-    gamma = operator_norm(build_hankel_matrix(alpha, N))
+    # the min(N, len(alpha)) block holds every nonzero entry of the N-truncation
+    gamma = operator_norm(build_hankel_matrix(alpha, max(1, min(N, len(alpha)))))
     phi = SliceLaurentSeries(
         {-1 - m: a for m, a in enumerate(alpha) if a.norm_sq() != 0.0}
     )

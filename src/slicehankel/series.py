@@ -374,23 +374,39 @@ def _reference_samples(f: SliceLaurentSeries, grid: int):
     return ap, bp, am, bm
 
 
-def _sup_values(ap, bp, am, bm):
+def _sup_values(ap, bp, am, bm, work=None):
     """Pointwise sup over J of |f(e^{tJ})| from the +/- reference samples.
 
     With f(e^{tJ}) = a + Jb, |a + Jb|^2 = |a|^2 + |b|^2 - 2 <Im(b conj(a)), J>
     is largest at J = -Im(b conj(a)) / |Im(b conj(a))|.  Written with
     a = (f+ + f-)/2 and b = (i/2)(f- - f+) it reduces to |f+|^2, |f-|^2 and
     cross terms.
+
+    ``work``, if given, holds five float then two complex arrays of the
+    samples' shape; every temporary and the result are written into them, so
+    a hot loop that passes the same scratch allocates nothing.
     """
-    s1 = np.abs(ap) ** 2
-    s2 = np.abs(am) ** 2
-    s3 = np.abs(bp) ** 2
-    s4 = np.abs(bm) ** 2
-    base = 0.5 * (s1 + s2 + s3 + s4)
-    im_p = 0.25 * ((s2 - s1) + (s4 - s3))
-    qc = ap * bm - am * bp
-    im_sq = im_p ** 2 + 0.25 * np.abs(qc) ** 2
-    return np.sqrt(base + 2.0 * np.sqrt(im_sq))
+    # every step writes into a slot of work (a fresh array when work is None):
+    #   base = (|ap|^2 + |am|^2 + |bp|^2 + |bm|^2) / 2
+    #   im_p = ((|am|^2 - |ap|^2) + (|bm|^2 - |bp|^2)) / 4
+    #   qc = ap bm - am bp
+    #   sup = sqrt(base + 2 sqrt(im_p^2 + |qc|^2 / 4))
+    w = work if work is not None else (None,) * 7
+    s1 = np.square(np.abs(ap, out=w[0]), out=w[0])
+    s2 = np.square(np.abs(am, out=w[1]), out=w[1])
+    s3 = np.square(np.abs(bp, out=w[2]), out=w[2])
+    s4 = np.square(np.abs(bm, out=w[3]), out=w[3])
+    base = np.add(np.add(s1, s2, out=w[4]), s3, out=w[4])
+    base = np.multiply(np.add(base, s4, out=w[4]), 0.5, out=w[4])
+    im_p = np.add(np.subtract(s2, s1, out=w[1]), np.subtract(s4, s3, out=w[3]),
+                  out=w[1])
+    im_p = np.multiply(im_p, 0.25, out=w[1])
+    qc = np.subtract(np.multiply(ap, bm, out=w[5]), np.multiply(am, bp, out=w[6]),
+                     out=w[5])
+    qc_sq = np.multiply(np.square(np.abs(qc, out=w[0]), out=w[0]), 0.25, out=w[0])
+    im_sq = np.add(np.square(im_p, out=w[1]), qc_sq, out=w[1])
+    root = np.multiply(np.sqrt(im_sq, out=w[1]), 2.0, out=w[1])
+    return np.sqrt(np.add(base, root, out=w[4]), out=w[4])
 
 
 def _grid_guard(f: SliceLaurentSeries, grid: int) -> None:
@@ -446,7 +462,7 @@ def bmo_norm(
             [f], t, np.broadcast_to([unit.x, unit.y, unit.z], (grid, 3))
         )
         ext = np.concatenate([vals, vals[:1]], axis=0)
-        for m in range(min(n_arcs, 8) + 1):
+        for m in range(n_arcs + 1):
             npts = grid >> m
             if npts < 4:
                 break

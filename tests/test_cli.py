@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from slicehankel import cli
 from slicehankel.cli import ExperimentConfig, main
 from slicehankel.quat import Quaternion
 from slicehankel.series import SliceLaurentSeries, save_series
@@ -102,6 +103,25 @@ class TestConfig:
         code, _, err = run(capsys, ["verify", "--grid", "1"])
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("argv, limit", [
+        (["verify", "--trials", "0", "--grid", "2000000000"], "1048576"),
+        (["norm", "--symbol", "missing.txt", "--grid", "2000000000"], "1048576"),
+        (["distance", "--symbol", "missing.txt", "--grid", str(2**20 + 1)], "1048576"),
+        (["hilbert", "--n", "2000000000"], "2048"),
+    ])
+    def test_oversize_is_usage_error(self, capsys, monkeypatch, argv, limit):
+        # the caps must fire before any symbol is loaded or matrix built
+        def unreachable(*args):
+            raise AssertionError("size cap checked too late")
+
+        monkeypatch.setattr(cli, "load_series", unreachable)
+        monkeypatch.setattr(cli, "build_hankel_matrix", unreachable)
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and limit in err
+        assert err.count("\n") == 1
 
     def test_defaults(self):
         cfg = ExperimentConfig()

@@ -1,9 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from slicehankel.hankel import apply_H, build_hankel_matrix, operator_norm
+from slicehankel import arrays
+from slicehankel.hankel import (
+    apply_H,
+    build_hankel_matrix,
+    complex_embed,
+    deembed_vector,
+    hankel_from_symbol,
+    operator_norm,
+)
 from slicehankel.nehari import (
     approximation_report,
     constructive_best_approx,
@@ -24,6 +33,26 @@ def random_symbol(rng, neg=3, pos=2):
         if n != -1 and rng.random() < 0.8:
             coeffs[n] = Quaternion(*rng.normal(size=4))
     return SliceLaurentSeries(coeffs)
+
+
+def deep_symbol(rng, depth):
+    """Random symbol with nonzero coefficients at -depth and -1."""
+    coeffs = {n: Quaternion(*rng.normal(size=4))
+              for n in range(-depth, 3) if rng.random() < 0.8}
+    coeffs[-depth] = Quaternion(*rng.normal(size=4))
+    coeffs[-1] = Quaternion(*rng.normal(size=4))
+    return SliceLaurentSeries(coeffs)
+
+
+def padded_symbols(seed):
+    """20 random symbols of depth 1..64, each paired with every N in
+    {128, 256} that passes the truncation guard."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(20):
+        phi = deep_symbol(rng, int(rng.integers(1, 65)))
+        cases += [(phi, N) for N in (128, 256) if N >= 2 * -phi.n_min + 8]
+    return cases
 
 
 def random_unit(rng):
@@ -69,6 +98,26 @@ class TestHankelNorm:
                 call()
         assert hankel_norm(phi, 68) == pytest.approx(1.0, abs=1e-12)
 
+    def test_block_matches_padded_oracle(self):
+        for phi, N in padded_symbols(53):
+            ref = operator_norm(hankel_from_symbol(phi, N).matrix())
+            assert abs(hankel_norm(phi, N) - ref) <= 1e-12 * max(1.0, ref)
+
+    def test_cost_independent_of_truncation(self):
+        # the SVD runs on the 3 x 3 block: a padded 2048 x 2048 complex
+        # embedding alone would take 64 MB
+        phi = deep_symbol(np.random.default_rng(54), 3)
+        tracemalloc.start()
+        try:
+            hn = hankel_norm(phi, 1024)
+            g = maximizing_vector(phi, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert hn == hankel_norm(phi, 16)
+        assert g == maximizing_vector(phi, 16)
+
 
 class TestMaximizingVector:
     def test_rank_one_constant(self):
@@ -95,6 +144,27 @@ class TestMaximizingVector:
         assert l2_norm(apply_H(phi, g.times_right(u))) == pytest.approx(
             l2_norm(apply_H(phi, g)), abs=1e-13
         )
+
+    def test_gauge_lowest_coefficient_real_positive(self):
+        rng = np.random.default_rng(55)
+        for _ in range(10):
+            g = maximizing_vector(random_symbol(rng), 16)
+            lead = g.coefficient(g.n_min)
+            assert lead.w > 0.0 and lead.imag_norm() == 0.0
+        g = maximizing_vector(SliceLaurentSeries({-1: Quaternion(0.6, 0, 0.8, 0)}), 16)
+        assert g == SliceLaurentSeries({0: ONE})
+
+    def test_matches_padded_singular_vector(self):
+        for phi, N in padded_symbols(56):
+            _, _, vh = np.linalg.svd(complex_embed(hankel_from_symbol(phi, N).matrix()))
+            v = deembed_vector(np.conj(vh[0]))
+            mags = np.sqrt(np.sum(np.square(v), axis=1))
+            lead = v[np.argmax(mags > 1e-13 * np.max(mags))]
+            v = arrays.mul(v, lead * np.array([1.0, -1.0, -1.0, -1.0]))
+            v /= np.sqrt(np.sum(np.square(v)))
+            g = maximizing_vector(phi, N)
+            got = np.array([g.coefficient(n).components() for n in range(N)])
+            assert np.max(np.abs(got - v)) <= 1e-9
 
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError):

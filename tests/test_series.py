@@ -13,6 +13,7 @@ from slicehankel.quat import (
 )
 from slicehankel.series import (
     SliceLaurentSeries,
+    _sup_values,
     bmo_norm,
     conj_c,
     dumps_series,
@@ -239,6 +240,25 @@ class TestSupNorms:
             assert best <= closed * (1 + 1e-12)
             assert closed == pytest.approx(best, rel=1e-2)
 
+    def test_sup_values_scratch_is_bit_exact(self):
+        # reference: the formula written with fresh temporaries
+        def reference(ap, bp, am, bm):
+            s1, s2 = np.abs(ap) ** 2, np.abs(am) ** 2
+            s3, s4 = np.abs(bp) ** 2, np.abs(bm) ** 2
+            base = 0.5 * (s1 + s2 + s3 + s4)
+            im_p = 0.25 * ((s2 - s1) + (s4 - s3))
+            qc = ap * bm - am * bp
+            return np.sqrt(base + 2.0 * np.sqrt(im_p ** 2 + 0.25 * np.abs(qc) ** 2))
+
+        rng = np.random.default_rng(29)
+        shape = (7, 300)
+        z = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(4)]
+        work = tuple(np.empty(shape) for _ in range(5)) + tuple(
+            np.empty(shape, dtype=complex) for _ in range(2))
+        ref = reference(*z)
+        assert np.array_equal(_sup_values(*z), ref)
+        assert np.array_equal(_sup_values(*z, work=work), ref)
+
     def test_linf_of_constant_and_monomial(self):
         c = Quaternion(3, 0, 4, 0)
         assert linf_norm(SliceLaurentSeries.constant(c)) == pytest.approx(5.0)
@@ -287,6 +307,22 @@ class TestBmo:
     def test_positive_for_oscillating_function(self):
         f = SliceLaurentSeries({1: ONE})
         assert bmo_norm(f, n_units=2, n_arcs=4, grid=256) > 0.1
+
+    def test_honours_n_arcs_beyond_eight(self, monkeypatch):
+        f = random_series(np.random.default_rng(28), 0, 40)
+        calls = []
+        trapezoid = np.trapezoid
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return trapezoid(*args, **kwargs)
+
+        monkeypatch.setattr(np, "trapezoid", counting)
+        coarse = bmo_norm(f, n_units=0, n_arcs=8, grid=16384)
+        coarse_calls = len(calls)
+        fine = bmo_norm(f, n_units=0, n_arcs=12, grid=16384)
+        assert fine >= coarse
+        assert len(calls) - coarse_calls > coarse_calls
 
 
 class TestSerialization:
