@@ -49,9 +49,12 @@ from .series import (
 __all__ = ["ExperimentConfig", "main"]
 
 # size caps checked before anything is allocated: the sampling grid sizes
-# every boundary array, and --n sizes the dense Hilbert matrices
+# every boundary array, --n sizes the Hilbert matrices, and the optimizer
+# allocates a (degree + 1) x grid Fourier basis and scratch for 8(degree + 1)
+# probes per round, about 290 MB at degree 256 (its reference degree is 6)
 MAX_GRID = 2**20
 MAX_HILBERT_N = 2048
+MAX_DEGREE = 256
 
 
 @dataclass
@@ -79,6 +82,8 @@ class ExperimentConfig:
             raise ValueError("sizes must be positive")
         if self.grid > MAX_GRID:
             raise ValueError(f"grid {self.grid} above the limit {MAX_GRID}")
+        if self.degree > MAX_DEGREE:
+            raise ValueError(f"degree {self.degree} above the limit {MAX_DEGREE}")
         if self.budget < 1 or self.trials < 0:
             raise ValueError("budget must be positive and trials nonnegative")
 
@@ -358,3 +363,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

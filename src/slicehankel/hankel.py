@@ -1,5 +1,6 @@
 """Truncated Hankel operators as quaternion matrices, the complex embedding,
-operator norms via SVD, the bilinear form and the shift machinery."""
+operator norms (dense SVD up to 128 rows or columns, Golub-Kahan-Lanczos with
+θ ≤ σ_max above), the bilinear form and the shift machinery."""
 
 from __future__ import annotations
 
@@ -185,16 +186,68 @@ def deembed_vector(u: np.ndarray) -> np.ndarray:
     return arrays.from_pairs(u[0::2], -np.conj(u[1::2]))
 
 
+# up to this many rows or columns a dense SVD beats Lanczos (measured on
+# random quaternion Hankel and dense matrices with one BLAS thread)
+DENSE_SVD_MAX_SIZE = 128
+
+
 def operator_norm(m: QuaternionMatrix) -> float:
     """Largest singular value, i.e. sup ||Mv|| / ||v|| over quaternion vectors.
 
     Computed as the top singular value of the complex embedding; the embedding
     is a norm-preserving bijection on column vectors, so the two sups agree.
+    Up to DENSE_SVD_MAX_SIZE (128) rows or columns this is a dense SVD;
+    above, the Golub-Kahan-Lanczos Ritz value θ, within about 1e-12 relative
+    of the dense value and never above it (θ ≤ σ_max), so a Hankel norm
+    stays a lower bound on every analytic distance.
     """
     if m.rows == 0 or m.cols == 0:
         return 0.0
-    sv = np.linalg.svd(complex_embed(m), compute_uv=False)
-    return float(sv[0])
+    if min(m.rows, m.cols) <= DENSE_SVD_MAX_SIZE:
+        return float(np.linalg.svd(complex_embed(m), compute_uv=False)[0])
+    return _lanczos_top_singular_value(complex_embed(m))
+
+
+def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Remove from w its components along the orthonormal rows of basis, twice."""
+    for _ in range(2):
+        w = w - basis.T @ np.conj(basis @ np.conj(w))
+    return w
+
+
+def _lanczos_top_singular_value(a: np.ndarray) -> float:
+    """Top singular value of a complex matrix by Golub-Kahan-Lanczos.
+
+    Bidiagonalizes a V_k = U_k B_k from a fixed-seed start vector with full
+    reorthogonalization, and stops when the Ritz residual β_k |x_k| is at
+    most 1e-12·θ (x the top left singular vector of B_k), on breakdown, or
+    when the Krylov space is exhausted.
+    """
+    m, n = a.shape
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    us, vs = np.empty((0, m), dtype=complex), v[None, :]
+    alphas: list[float] = []
+    betas: list[float] = []
+    p = a @ v
+    while True:
+        p = _reorthogonalize(p, us)
+        alphas.append(float(np.linalg.norm(p)))
+        if alphas[-1] > 0.0:
+            u = p / alphas[-1]
+            us = np.vstack([us, u])
+            # a^H u without a conjugated copy of a
+            r = _reorthogonalize(np.conj(a.T @ np.conj(u)) - alphas[-1] * v, vs)
+            beta = float(np.linalg.norm(r))
+        x, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+        if (alphas[-1] == 0.0 or beta == 0.0 or beta * abs(x[-1, 0]) <= 1e-12 * s[0]
+                or len(alphas) == min(m, n)):
+            return float(s[0])
+        betas.append(beta)
+        v = r / beta
+        vs = np.vstack([vs, v])
+        p = a @ v - beta * u
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,8 @@ class TestConfig:
         (["norm", "--symbol", "missing.txt", "--grid", "2000000000"], "1048576"),
         (["distance", "--symbol", "missing.txt", "--grid", str(2**20 + 1)], "1048576"),
         (["hilbert", "--n", "2000000000"], "2048"),
+        (["distance", "--symbol", "missing.txt", "--degree", "2000000000",
+          "--budget", "100"], "256"),
     ])
     def test_oversize_is_usage_error(self, capsys, monkeypatch, argv, limit):
         # the caps must fire before any symbol is loaded or matrix built
@@ -194,19 +196,21 @@ class TestHilbertAndDemo:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    def test_python_m_entry_point(self):
+    @pytest.mark.parametrize("module", ["slicehankel", "slicehankel.cli"])
+    def test_python_m_entry_point(self, capsys, module):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
         )
         proc = subprocess.run(
-            [sys.executable, "-m", "slicehankel", "hilbert", "--n", "4"],
+            [sys.executable, "-m", module, "demo", *FAST],
             capture_output=True, text=True, env=env, cwd=root, timeout=120,
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
-        assert proc.stdout.startswith("N,norm\n1,1.0\n")
+        assert proc.stdout.startswith("# rank-one worked example\n")
+        assert proc.stdout == run(capsys, ["demo", *FAST])[1]
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "table.csv"

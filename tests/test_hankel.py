@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from slicehankel import hankel
 from slicehankel.hankel import (
     HankelOperator,
     QuaternionMatrix,
@@ -180,6 +181,53 @@ class TestOperatorNorm:
         ]
         for small, large in zip(norms, norms[1:]):
             assert large >= small - 1e-12
+
+    def test_lanczos_matches_dense_svd(self):
+        # 20 random quaternion matrices above the dense-SVD crossover
+        rng = np.random.default_rng(41)
+        cases = [random_matrix(rng, r, c) for r, c in
+                 [(129, 129), (200, 200), (256, 256), (400, 200), (200, 400),
+                  (300, 150), (150, 300), (257, 131)]]
+        for n in (129, 160, 200, 256, 300, 400):
+            alpha = [Quaternion(*rng.normal(size=4)) for _ in range(2 * n - 1)]
+            cases.append(build_hankel_matrix(alpha, n))
+        # rank-deficient: a depth-64 symbol padded to N=256 has 64 nonzero
+        # antidiagonals, and an outer product has quaternion rank one
+        for _ in range(5):
+            coeffs = {-1 - m: Quaternion(*rng.normal(size=4)) for m in range(64)}
+            cases.append(hankel_from_symbol(SliceLaurentSeries(coeffs), 256).matrix())
+        cases.append(random_matrix(rng, 300, 1).matmul(random_matrix(rng, 1, 200)))
+        for m in cases:
+            dense = float(np.linalg.svd(complex_embed(m), compute_uv=False)[0])
+            theta = operator_norm(m)
+            assert abs(theta - dense) <= 1e-12 * dense
+            # a Ritz value never exceeds the top singular value
+            assert theta <= dense * (1 + 1e-12)
+
+    def test_dispatch_at_crossover(self):
+        rng = np.random.default_rng(42)
+        small = random_matrix(rng, hankel.DENSE_SVD_MAX_SIZE, 300)
+        large = random_matrix(rng, hankel.DENSE_SVD_MAX_SIZE + 1, 300)
+        assert operator_norm(small) == float(
+            np.linalg.svd(complex_embed(small), compute_uv=False)[0])
+        assert operator_norm(large) == hankel._lanczos_top_singular_value(
+            complex_embed(large))
+
+    def test_lanczos_exact_cases_and_determinism(self):
+        assert operator_norm(QuaternionMatrix.zeros(300, 300)) == 0.0
+        eye = np.zeros((300, 300, 4))
+        eye[np.arange(300), np.arange(300), 0] = 1.0
+        assert operator_norm(QuaternionMatrix(eye)) == pytest.approx(1.0, abs=1e-15)
+        m = random_matrix(np.random.default_rng(43), 250, 250)
+        assert operator_norm(m) == operator_norm(m)
+
+    def test_lanczos_hilbert_matches_eigvalsh(self):
+        for size in (256, 512, 1024):
+            alpha = [Quaternion(1.0 / (m + 1)) for m in range(2 * size - 1)]
+            real = 1.0 / (np.add.outer(np.arange(size), np.arange(size)) + 1.0)
+            expected = float(np.max(np.linalg.eigvalsh(real)))
+            got = operator_norm(build_hankel_matrix(alpha, size))
+            assert abs(got - expected) <= 1e-12 * expected
 
 
 class TestShifts:
