@@ -49,12 +49,16 @@ from .series import (
 __all__ = ["ExperimentConfig", "main"]
 
 # size caps checked before anything is allocated: the sampling grid sizes
-# every boundary array, --n sizes the Hilbert matrices, and the optimizer
-# allocates a (degree + 1) x grid Fourier basis and scratch for 8(degree + 1)
-# probes per round, about 290 MB at degree 256 (its reference degree is 6)
+# every boundary array and --n the Hilbert matrices.  The optimizer holds a
+# (degree + 1) x grid Fourier basis and its conjugate (32 bytes per entry)
+# and scratch for 4 exact probes (544 bytes per grid point), plus a probe
+# screen of 480 bytes per coefficient and subgrid point (under 2048 points).
+# A call at the product cap peaked at 0.45 GB RSS at degree 255, grid 2^15,
+# and 0.91 GB at degree 7, grid 2^20 (the reference is degree 6, grid 8192).
 MAX_GRID = 2**20
 MAX_HILBERT_N = 2048
 MAX_DEGREE = 256
+MAX_DEGREE_GRID = 2**23
 
 
 @dataclass
@@ -84,6 +88,11 @@ class ExperimentConfig:
             raise ValueError(f"grid {self.grid} above the limit {MAX_GRID}")
         if self.degree > MAX_DEGREE:
             raise ValueError(f"degree {self.degree} above the limit {MAX_DEGREE}")
+        if (self.degree + 1) * self.grid > MAX_DEGREE_GRID:
+            raise ValueError(
+                f"(degree + 1) * grid = {(self.degree + 1) * self.grid} above "
+                f"the limit {MAX_DEGREE_GRID}"
+            )
         if self.budget < 1 or self.trials < 0:
             raise ValueError("budget must be positive and trials nonnegative")
 

@@ -4,8 +4,10 @@ bounded-regular approximation, and an independent minimax optimizer.
 The constructive route realizes f = phi - (H_phi g) * g^{-*} pointwise, with g
 a maximizing vector extracted from the SVD of the complex embedding; the
 optimizer minimizes the sampled sup norm of phi - f over polynomial f by
-multi-start coordinate pattern search.  For finite symbols the two routes and
-the Hankel norm must agree, which is what the verification report checks.
+multi-start coordinate pattern search, screening each round's probes on a
+subgrid by an exact expansion of the current residual (``_ProbeScreen``) and
+evaluating the best few on the full grid.  For finite symbols the two routes
+and the Hankel norm must agree, which is what the verification report checks.
 
 All sampling on the boundary (the grid evaluator, the reference-slice samples
 and the closed-form sphere sup) lives in ``series``; this module only combines
@@ -35,6 +37,8 @@ from .series import (
     _evaluate_many,
     _grid_guard,
     _reference_samples,
+    _sup_finish,
+    _sup_moments,
     _sup_values,
     conj_c,
     dumps_series,
@@ -222,6 +226,93 @@ class OptimizeResult:
     status: str = "converged"
 
 
+class _ProbeScreen:
+    """Coarse-grid sup of every coordinate probe of the pattern search, from
+    an exact expansion of the residual at the current point x.
+
+    Probe i moves real coordinate d = i mod dim of x by delta = +step (first
+    dim probes) or -step (the rest).  Moving coordinate c of coefficient n of
+    fa by delta adds -eps e^{int} to A+ and -eps e^{-int} to A-, with
+    eps = delta u and u = 1 (c = 0) or i (c = 1), and leaves B+- alone; fb
+    (c = 2, 3) acts on B+- the same way.  So the moments of the sup formula
+    are quadratics in delta,
+
+      base(delta)  = base  + delta lin_base + delta^2
+      im_p(delta)  = im_p  + delta lin_im
+      qc_sq(delta) = qc_sq + delta lin_qc + delta^2 quad
+
+    with (dim, M) coefficient arrays built by ``expand(x)`` once per point,
+    and every probe of a round costs a few real operations on them.
+    """
+
+    def __init__(self, basis, ap, bp, am, bm):
+        d1, m = basis.shape
+        basis = np.ascontiguousarray(basis)
+        self.e, self.ce = basis[:, None], np.conj(basis)[:, None]  # (d1, 1, M)
+        self.samples = np.stack([ap, bp]), np.stack([am, bm])
+        # every array the size of the coefficients is preallocated, as in the
+        # exact objective (see optimize_distance)
+        self.cwork = np.empty((4, d1, 2, m), dtype=complex)
+        self.lin = np.empty((3, 4 * d1, m))  # lin_base, lin_im, lin_qc
+        self.quad = np.empty((4 * d1, m))
+        self.qc_const = np.empty((4 * d1, m))
+        self.work = np.empty((3, 8 * d1, m))  # the moments of all 2 dim probes
+
+    def expand(self, x: np.ndarray) -> None:
+        e, ce = self.e, self.ce
+        d1, _, m = e.shape
+        f = np.stack(arrays.to_pairs(x.reshape(d1, 4)))  # (fa, fb)
+        sp = self.samples[0] - f @ e[:, 0]  # (A+, B+)
+        sm = self.samples[1] - f @ ce[:, 0]  # (A-, B-)
+        (ap, bp), (am, bm) = sp, sm
+        self.moments = _sup_moments(ap, bp, am, bm)
+        # rows (n, fa/fb, u = 1/i) of the (dim, M) arrays; with Re(z u) equal
+        # to Re z or -Im z,
+        #   lin_base = -Re(G u),  G = conj(A+) e + conj(A-) ce
+        #   lin_im = Re(D u) / 2,  D = conj(A+) e - conj(A-) ce
+        #   lin_qc = -Re(conj(qc) U u) / 2,  quad = |U|^2 / 4
+        # (B for fb), where probing fa moves qc by -eps (e B- - ce B+) and
+        # probing fb by -eps (ce A+ - e A-)
+        plus, minus, u, z = self.cwork
+        np.multiply(np.conj(sp), e, out=plus)
+        np.multiply(np.conj(sm), ce, out=minus)
+        np.multiply(e, np.stack([bm, -am]), out=u)
+        np.subtract(u, np.multiply(ce, np.stack([bp, -ap]), out=z), out=u)
+        lin = self.lin.reshape(3, d1, 2, 2, m)
+
+        def put(row, z, f):
+            np.multiply(z.real, f, out=lin[row, :, :, 0])
+            np.multiply(z.imag, -f, out=lin[row, :, :, 1])
+
+        put(0, np.add(plus, minus, out=z), -1.0)
+        put(1, np.subtract(plus, minus, out=z), 0.5)
+        put(2, np.multiply(np.conj(ap * bm - am * bp), u, out=z), -0.5)
+        quad = self.quad.reshape(d1, 2, 2, m)
+        q = quad[:, :, 0]
+        np.add(np.square(u.real, out=q), np.square(u.imag, out=quad[:, :, 1]), out=q)
+        np.multiply(q, 0.25, out=q)
+        quad[:, :, 1] = q
+
+    def __call__(self, step: float, take: int) -> np.ndarray:
+        """Coarse sup of probes 0 .. take-1 around the last expanded x."""
+        dim = len(self.quad)
+        base0, im0, qc0 = self.moments
+        # the moments of probe i go to row i of work: const + step lin for
+        # i < dim, const - step lin (row i - dim of lin) for i >= dim
+        steps = np.multiply(self.lin, step, out=self.work[:, dim:])
+        qc_const = np.multiply(self.quad, step * step, out=self.qc_const)
+        np.add(qc_const, qc0, out=qc_const)
+        for out, t, const in zip(self.work, steps, (base0 + step * step, im0,
+                                                   qc_const)):
+            np.add(const, t, out=out[:dim])
+            np.subtract(const, t, out=t)
+        # rounding can leave a true zero slightly negative
+        base, im_p, qc_sq = self.work
+        np.maximum(base, 0.0, out=base)
+        np.maximum(qc_sq, 0.0, out=qc_sq)
+        return _sup_finish(base, im_p, qc_sq).max(axis=1)[:take]
+
+
 def optimize_distance(
     phi: SliceLaurentSeries,
     degree: int,
@@ -233,6 +324,12 @@ def optimize_distance(
     """Minimize the sampled sup of |phi - f| over Hardy polynomials f of the
     given degree, by multi-start coordinate pattern search with shrinking
     steps.  Deterministic for a fixed seed.
+
+    Each round probes x +- step along every real coordinate.  The probes are
+    ranked by their sup on a subgrid of at most 2047 points, computed by
+    ``_ProbeScreen`` from an exact quadratic expansion of the residual at x,
+    and the n_exact best are evaluated on the full grid; only those full-grid
+    values are accepted or recorded.  Every probe counts against the budget.
 
     The recorded iterates are the global best-so-far after each probe round;
     every probed candidate is an admissible analytic competitor, so each
@@ -252,33 +349,31 @@ def optimize_distance(
     t = 2.0 * np.pi * np.arange(grid) / grid
     pap, pbp, pam, pbm = _reference_samples(phi, grid)
     basis = np.exp(1j * np.outer(np.arange(d1), t))  # (d1, grid)
+    cbasis = np.conj(basis)
 
     # probes are screened on a strided subgrid and only the most promising
     # ones re-evaluated on the full grid; reported values are always exact
     stride = max(1, grid // 1024)
-    coarse = (basis[:, ::stride], np.conj(basis[:, ::stride]), pap[::stride],
-              pbp[::stride], pam[::stride], pbm[::stride])
-    fine = (basis, np.conj(basis), pap, pbp, pam, pbm)
+    screen = _ProbeScreen(basis[:, ::stride], pap[::stride], pbp[::stride],
+                          pam[::stride], pbm[::stride])
 
-    # Every batch is evaluated in one preallocated scratch block (four
-    # residuals plus the scratch of _sup_values), sized for the largest
-    # batches: 2 * dim coarse probes, n_exact fine ones.  Grid-sized
-    # temporaries allocated and freed each round cost more in page faults
-    # than the arithmetic, by an amount that depends on the allocator's history.
+    # The exact batches are evaluated in one preallocated scratch block (four
+    # residuals plus the scratch of _sup_values) for n_exact probes.
+    # Grid-sized temporaries allocated and freed each round cost more in page
+    # faults than the arithmetic, by an amount that depends on the allocator's
+    # history.
     n_exact = 4
-    size = max(2 * dim * coarse[0].shape[1], n_exact * grid)
-    cwork = np.empty((6, size), dtype=complex)
-    rwork = np.empty((5, size))
+    cwork = np.empty((6, n_exact * grid), dtype=complex)
+    rwork = np.empty((5, n_exact * grid))
 
-    def batch_objective(xs: np.ndarray, grids) -> np.ndarray:
-        bas, cbas, ap, bp, am, bm = grids
-        shape = (len(xs), bas.shape[1])
+    def batch_objective(xs: np.ndarray) -> np.ndarray:
+        shape = (len(xs), grid)
         n = shape[0] * shape[1]
         c = [buf[:n].reshape(shape) for buf in cwork]
         r = [buf[:n].reshape(shape) for buf in rwork]
         fa, fb = arrays.to_pairs(xs.reshape(len(xs), d1, 4))
-        for res, f, b, s in zip(c, (fa, fb, fa, fb), (bas, bas, cbas, cbas),
-                                (ap, bp, am, bm)):
+        for res, f, b, s in zip(c, (fa, fb, fa, fb), (basis, basis, cbasis, cbasis),
+                                (pap, pbp, pam, pbm)):
             np.subtract(s, np.matmul(f, b, out=res), out=res)
         return _sup_values(*c[:4], work=(*r, *c[4:])).max(axis=1)
 
@@ -303,7 +398,8 @@ def optimize_distance(
             all_converged = False
             break
         x = x0.copy()
-        fx = float(batch_objective(x[None], fine)[0])
+        screen.expand(x)
+        fx = float(batch_objective(x[None])[0])
         evaluations += 1
         if fx < global_best:
             global_best, best_x = fx, x.copy()
@@ -316,19 +412,19 @@ def optimize_distance(
                 converged = True
                 break
             take = min(2 * dim, per_start - spent, budget - evaluations)
-            probes = np.repeat(x[None], take, axis=0)
-            for i in range(take):
-                d = i % dim
-                probes[i, d] += step if i < dim else -step
-            screen = batch_objective(probes, coarse)
             evaluations += take
             spent += take
-            top = np.argsort(screen)[: min(n_exact, take)]
-            exact = batch_objective(probes[top], fine)
+            # probe i moves coordinate i mod dim by +step (i < dim) or -step
+            top = np.argsort(screen(step, take))[: min(n_exact, take)]
+            probes = np.repeat(x[None], len(top), axis=0)
+            for k, i in enumerate(top):
+                probes[k, i % dim] += step if i < dim else -step
+            exact = batch_objective(probes)
             j = int(np.argmin(exact))
             if exact[j] < fx - 1e-15 * scale:
-                x = probes[top[j]]
+                x = probes[j]
                 fx = float(exact[j])
+                screen.expand(x)
             else:
                 step *= 0.5
             if fx < global_best:

@@ -339,9 +339,10 @@ def l2_norm(f: SliceLaurentSeries) -> float:
 def sphere_sup(a: Quaternion, b: Quaternion) -> float:
     """sup over J in S of |a + Jb|, in closed form: the one-point case of
     _sup_values, whose reference-slice values at J = +-i are a +- ib."""
-    a1, a2 = arrays.to_pairs(np.array(a.components()))
-    b1, b2 = arrays.to_pairs(np.array(b.components()))
-    return float(_sup_values(a1 + 1j * b1, a2 + 1j * b2, a1 - 1j * b1, a2 - 1j * b2))
+    a1, a2 = arrays.to_pairs(np.array([a.components()]))
+    b1, b2 = arrays.to_pairs(np.array([b.components()]))
+    (sup,) = _sup_values(a1 + 1j * b1, a2 + 1j * b2, a1 - 1j * b1, a2 - 1j * b2)
+    return float(sup)
 
 
 def _pair_arrays(f: SliceLaurentSeries):
@@ -386,11 +387,16 @@ def _sup_values(ap, bp, am, bm, work=None):
     samples' shape; every temporary and the result are written into them, so
     a hot loop that passes the same scratch allocates nothing.
     """
-    # every step writes into a slot of work (a fresh array when work is None):
-    #   base = (|ap|^2 + |am|^2 + |bp|^2 + |bm|^2) / 2
-    #   im_p = ((|am|^2 - |ap|^2) + (|bm|^2 - |bp|^2)) / 4
-    #   qc = ap bm - am bp
-    #   sup = sqrt(base + 2 sqrt(im_p^2 + |qc|^2 / 4))
+    return _sup_finish(*_sup_moments(ap, bp, am, bm, work))
+
+
+def _sup_moments(ap, bp, am, bm, work=None):
+    """The moments (base, im_p, |qc|^2 / 4) of the sup formula, written into
+    slots 4, 1 and 0 of ``work`` (fresh arrays when work is None):
+      base = (|ap|^2 + |am|^2 + |bp|^2 + |bm|^2) / 2
+      im_p = ((|am|^2 - |ap|^2) + (|bm|^2 - |bp|^2)) / 4
+      qc = ap bm - am bp
+    """
     w = work if work is not None else (None,) * 7
     s1 = np.square(np.abs(ap, out=w[0]), out=w[0])
     s2 = np.square(np.abs(am, out=w[1]), out=w[1])
@@ -404,9 +410,16 @@ def _sup_values(ap, bp, am, bm, work=None):
     qc = np.subtract(np.multiply(ap, bm, out=w[5]), np.multiply(am, bp, out=w[6]),
                      out=w[5])
     qc_sq = np.multiply(np.square(np.abs(qc, out=w[0]), out=w[0]), 0.25, out=w[0])
-    im_sq = np.add(np.square(im_p, out=w[1]), qc_sq, out=w[1])
-    root = np.multiply(np.sqrt(im_sq, out=w[1]), 2.0, out=w[1])
-    return np.sqrt(np.add(base, root, out=w[4]), out=w[4])
+    return base, im_p, qc_sq
+
+
+def _sup_finish(base, im_p, qc_sq):
+    """sup = sqrt(base + 2 sqrt(im_p^2 + |qc|^2 / 4)) from the moments,
+    computed in place: im_p is overwritten and the result is written into
+    base."""
+    im_sq = np.add(np.square(im_p, out=im_p), qc_sq, out=im_p)
+    root = np.multiply(np.sqrt(im_sq, out=im_sq), 2.0, out=im_sq)
+    return np.sqrt(np.add(base, root, out=base), out=base)
 
 
 def _grid_guard(f: SliceLaurentSeries, grid: int) -> None:

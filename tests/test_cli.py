@@ -111,6 +111,8 @@ class TestConfig:
         (["hilbert", "--n", "2000000000"], "2048"),
         (["distance", "--symbol", "missing.txt", "--degree", "2000000000",
           "--budget", "100"], "256"),
+        (["distance", "--symbol", "missing.txt", "--degree", "256", "--grid",
+          "1048576", "--budget", "100"], "8388608"),
     ])
     def test_oversize_is_usage_error(self, capsys, monkeypatch, argv, limit):
         # the caps must fire before any symbol is loaded or matrix built

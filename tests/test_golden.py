@@ -1,26 +1,27 @@
 """Golden CLI outputs: stdout, stderr and exit code of fixed commands.
 
-Each case runs ``main()`` in-process from ``tests/golden/`` and compares the
-bytes with the stored files.  A change that moves an algorithm on purpose
-regenerates them with
+Each case runs ``python -m slicehankel`` in a subprocess from
+``tests/golden/`` with OpenBLAS, OpenMP and MKL pinned to one thread, and
+compares the bytes with the stored files.  The pin matters: a dense SVD can
+differ in its last bit between thread counts, so unpinned files would depend
+on the machine.  A change that moves an algorithm on purpose regenerates them
+with
 
-    PYTHONPATH=src python tests/test_golden.py --regen
+    python tests/test_golden.py --regen
 
 and lists every changed line in CHANGES.md.
 """
 
-import contextlib
-import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from slicehankel.cli import main
-
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 
 CASES = {
     "verify": ["verify", "--trials", "3", "--seed", "0"],
@@ -32,17 +33,16 @@ CASES = {
     "distance_rank_one": ["distance", "--symbol", "rank_one.txt"],
 }
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(GOLDEN)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        os.chdir(cwd)
-    return code, out.getvalue().encode(), err.getvalue().encode()
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "slicehankel", *argv],
+                          cwd=GOLDEN, env=env, capture_output=True, timeout=600)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

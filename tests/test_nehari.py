@@ -14,6 +14,7 @@ from slicehankel.hankel import (
     operator_norm,
 )
 from slicehankel.nehari import (
+    _ProbeScreen,
     approximation_report,
     constructive_best_approx,
     hankel_norm,
@@ -22,7 +23,13 @@ from slicehankel.nehari import (
     verify_nehari_bounds,
 )
 from slicehankel.quat import Quaternion
-from slicehankel.series import SliceLaurentSeries, l2_norm, linf_norm
+from slicehankel.series import (
+    SliceLaurentSeries,
+    _reference_samples,
+    _sup_values,
+    l2_norm,
+    linf_norm,
+)
 
 ONE = Quaternion(1.0)
 
@@ -217,7 +224,76 @@ class TestConstructive:
             assert abs(gauged.distance - base.distance) <= 1e-10
 
 
+def screen_and_reference(phi, degree, x, step, take, grid=2048, stride=2):
+    """The probe screen's values and _sup_values on the probes' coarse
+    residuals built directly, as the optimizer lays its probes out."""
+    d1, dim = degree + 1, 4 * (degree + 1)
+    t = 2.0 * np.pi * np.arange(grid) / grid
+    basis = np.exp(1j * np.outer(np.arange(d1), t))[:, ::stride]
+    samples = [s[::stride] for s in _reference_samples(phi, grid)]
+    screen = _ProbeScreen(basis, *samples)
+    screen.expand(x)
+    got = screen(step, take)
+    probes = np.repeat(x[None], take, axis=0)
+    for i in range(take):
+        probes[i, i % dim] += step if i < dim else -step
+    fa, fb = arrays.to_pairs(probes.reshape(take, d1, 4))
+    ap, bp, am, bm = samples
+    ref = _sup_values(ap - fa @ basis, bp - fb @ basis,
+                      am - fa @ np.conj(basis), bm - fb @ np.conj(basis))
+    return got, ref.max(axis=1)
+
+
 class TestOptimizer:
+    def test_probe_screen_matches_sup_values(self):
+        rng = np.random.default_rng(57)
+        for _ in range(12):
+            coeffs = {-(m + 1): Quaternion(*rng.normal(size=4))
+                      for m in range(int(rng.integers(1, 5)))}
+            for pos in range(int(rng.integers(0, 3))):
+                coeffs[pos] = Quaternion(*rng.normal(size=4))
+            phi = SliceLaurentSeries(coeffs)
+            degree = int(rng.integers(0, 7))
+            dim = 4 * (degree + 1)
+            scale = max(1.0, linf_norm(phi, 2048))
+            x = rng.normal(scale=0.5 * scale, size=dim)
+            for step in scale * np.array([0.5, 1e-2, 1e-5, 1e-9]):
+                for take in (2 * dim, dim + 1, dim, 3):
+                    got, ref = screen_and_reference(phi, degree, x, step, take)
+                    assert got.shape == (take,)
+                    assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+    def test_probe_screen_at_zero_residual(self):
+        # x = the analytic symbol itself (the start of test_interpolation_case):
+        # every coarse residual is zero, so each probe's residual is the probe
+        # term alone and its sup is exactly the step.  The directly built
+        # residuals carry the rounding of x +- step, up to an ulp of x per
+        # coordinate, which swamps a relative bound at tiny steps.
+        phi = SliceLaurentSeries({0: Quaternion(1, 2, 0, 1), 2: Quaternion(0.5)})
+        x = np.zeros(16)
+        x[0:4], x[8:12] = (1, 2, 0, 1), (0.5, 0, 0, 0)
+        ulp = np.spacing(np.max(np.abs(x)))
+        for step in (0.5, 1e-4, 1e-9):
+            for take in (32, 17):
+                got, ref = screen_and_reference(phi, 3, x, step, take, grid=512,
+                                                stride=1)
+                assert np.all(np.abs(got - step) <= 1e-12 * step)
+                assert np.all(np.abs(got - ref) <= 1e-12 * ref + 4 * ulp)
+        # one step off the fit, the probe back lands on a zero residual, where
+        # the expanded moments cancel to rounding level and may go negative;
+        # clamped, their sup stays finite and at the square root of rounding
+        for d in range(16):
+            for step in (0.5, 2.0**-20):
+                off = x.copy()
+                off[d] += step
+                got, ref = screen_and_reference(phi, 3, off, step, 32, grid=512,
+                                                stride=1)
+                assert np.all(np.isfinite(got))
+                assert ref[16 + d] == 0.0 and got[16 + d] <= 1e-7 * step
+                others = np.arange(32) != 16 + d
+                assert np.all(np.abs(got - ref)[others]
+                              <= 1e-12 * ref[others] + 4 * ulp)
+
     def test_interpolation_case(self):
         phi = SliceLaurentSeries({0: Quaternion(1, 2, 0, 1), 2: Quaternion(0.5)})
         res = optimize_distance(phi, degree=3, grid=512, budget=5000, seed=0)
