@@ -49,12 +49,9 @@ from .series import (
 __all__ = ["ExperimentConfig", "main"]
 
 # size caps checked before anything is allocated: the sampling grid sizes
-# every boundary array and --n the Hilbert matrices.  The optimizer holds a
-# (degree + 1) x grid Fourier basis and its conjugate (32 bytes per entry)
-# and scratch for 4 exact probes (544 bytes per grid point), plus a probe
-# screen of 480 bytes per coefficient and subgrid point (under 2048 points).
-# A call at the product cap peaked at 0.45 GB RSS at degree 255, grid 2^15,
-# and 0.91 GB at degree 7, grid 2^20 (the reference is degree 6, grid 8192).
+# every boundary array and --n the Hilbert matrices.  At the product cap the
+# optimizer peaked at 84 MB RSS (degree 255, grid 2^15) and 376 MB (degree 7,
+# grid 2^20); the reference is degree 6, grid 8192.
 MAX_GRID = 2**20
 MAX_HILBERT_N = 2048
 MAX_DEGREE = 256
@@ -232,6 +229,9 @@ def cmd_distance(config: ExperimentConfig, symbol_path: str) -> int:
         config.degree, config.budget, config.seed,
     )
     _emit(report.to_text(), config.output_path)
+    if report.optimizer_status == "budget_exhausted":
+        print(f"warning: optimizer unconverged after its budget of "
+              f"{config.budget} evaluations", file=sys.stderr)
     return 0 if report.check() else 1
 
 

@@ -3,11 +3,11 @@ bounded-regular approximation, and an independent minimax optimizer.
 
 The constructive route realizes f = phi - (H_phi g) * g^{-*} pointwise, with g
 a maximizing vector extracted from the SVD of the complex embedding; the
-optimizer minimizes the sampled sup norm of phi - f over polynomial f by
-multi-start coordinate pattern search, screening each round's probes on a
-subgrid by an exact expansion of the current residual (``_ProbeScreen``) and
-evaluating the best few on the full grid.  For finite symbols the two routes
-and the Hankel norm must agree, which is what the verification report checks.
+optimizer minimizes the sampled sup norm of phi - f over polynomial f as a
+linear matrix inequality, by a log-det barrier method on a working set of
+grid points grown by Remez-style exchange, and certifies its value by the
+barrier's lower bound.  For finite symbols the two routes and the Hankel norm
+must agree, which is what the verification report checks.
 
 All sampling on the boundary (the grid evaluator, the reference-slice samples
 and the closed-form sphere sup) lives in ``series``; this module only combines
@@ -17,6 +17,7 @@ the samples.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,7 +38,6 @@ from .series import (
     _evaluate_many,
     _grid_guard,
     _reference_samples,
-    _sup_finish,
     _sup_moments,
     _sup_values,
     conj_c,
@@ -213,7 +213,7 @@ def _series_from_spectrum(fa, fb, freqs, cutoff: int) -> SliceLaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# derivative-free minimax optimization
+# minimax optimization: a log-det barrier method with exchange
 # ---------------------------------------------------------------------------
 
 
@@ -224,93 +224,114 @@ class OptimizeResult:
     iterates: list[float] = field(default_factory=list)
     evaluations: int = 0
     status: str = "converged"
+    lower_bound: float = -math.inf
 
 
-class _ProbeScreen:
-    """Coarse-grid sup of every coordinate probe of the pattern search, from
-    an exact expansion of the residual at the current point x.
+# Moving real coordinate c = (w, x, y, z) of coefficient n of f by one moves
+# M_t = [[A+, B+], [conj B-, -conj A-]] by e^{int} K_c.
+_K = np.array([[[-1, 0], [0, 1]], [[-1j, 0], [0, -1j]],
+               [[0, -1], [-1, 0]], [[0, -1j], [1j, 0]]])
+# tr(V K_c) = V.reshape(4) @ _KT[:, c] for a 2 x 2 block V
+_KT = _K.transpose(0, 2, 1).reshape(4, 4).T
+# tr(V K_c V' K_d) and tr(V K_c V' K_d^H) from the products V[i, j] V'[k, l]
+_C1 = np.einsum("cjk,dli->ijklcd", _K, _K).reshape(16, 16)
+_C2 = np.einsum("cjk,dil->ijklcd", _K, np.conj(_K)).reshape(16, 16)
 
-    Probe i moves real coordinate d = i mod dim of x by delta = +step (first
-    dim probes) or -step (the rest).  Moving coordinate c of coefficient n of
-    fa by delta adds -eps e^{int} to A+ and -eps e^{-int} to A-, with
-    eps = delta u and u = 1 (c = 0) or i (c = 1), and leaves B+- alone; fb
-    (c = 2, 3) acts on B+- the same way.  So the moments of the sup formula
-    are quadratics in delta,
 
-      base(delta)  = base  + delta lin_base + delta^2
-      im_p(delta)  = im_p  + delta lin_im
-      qc_sq(delta) = qc_sq + delta lin_qc + delta^2 quad
+_Point = namedtuple("_Point", "s x res im_p r a b")  # see _WorkingSet.point
 
-    with (dim, M) coefficient arrays built by ``expand(x)`` once per point,
-    and every probe of a round costs a few real operations on them.
-    """
 
-    def __init__(self, basis, ap, bp, am, bm):
-        d1, m = basis.shape
-        basis = np.ascontiguousarray(basis)
-        self.e, self.ce = basis[:, None], np.conj(basis)[:, None]  # (d1, 1, M)
-        self.samples = np.stack([ap, bp]), np.stack([am, bm])
-        # every array the size of the coefficients is preallocated, as in the
-        # exact objective (see optimize_distance)
-        self.cwork = np.empty((4, d1, 2, m), dtype=complex)
-        self.lin = np.empty((3, 4 * d1, m))  # lin_base, lin_im, lin_qc
-        self.quad = np.empty((4 * d1, m))
-        self.qc_const = np.empty((4 * d1, m))
-        self.work = np.empty((3, 8 * d1, m))  # the moments of all 2 dim probes
+class _WorkingSet:
+    """The barrier -sum_t log det Z_t, Z_t = [[s I, M_t], [M_t^H, s I]], over
+    the grid points idx, for polynomials of the given degree."""
 
-    def expand(self, x: np.ndarray) -> None:
-        e, ce = self.e, self.ce
-        d1, _, m = e.shape
-        f = np.stack(arrays.to_pairs(x.reshape(d1, 4)))  # (fa, fb)
-        sp = self.samples[0] - f @ e[:, 0]  # (A+, B+)
-        sm = self.samples[1] - f @ ce[:, 0]  # (A-, B-)
-        (ap, bp), (am, bm) = sp, sm
-        self.moments = _sup_moments(ap, bp, am, bm)
-        # rows (n, fa/fb, u = 1/i) of the (dim, M) arrays; with Re(z u) equal
-        # to Re z or -Im z,
-        #   lin_base = -Re(G u),  G = conj(A+) e + conj(A-) ce
-        #   lin_im = Re(D u) / 2,  D = conj(A+) e - conj(A-) ce
-        #   lin_qc = -Re(conj(qc) U u) / 2,  quad = |U|^2 / 4
-        # (B for fb), where probing fa moves qc by -eps (e B- - ce B+) and
-        # probing fb by -eps (ce A+ - e A-)
-        plus, minus, u, z = self.cwork
-        np.multiply(np.conj(sp), e, out=plus)
-        np.multiply(np.conj(sm), ce, out=minus)
-        np.multiply(e, np.stack([bm, -am]), out=u)
-        np.subtract(u, np.multiply(ce, np.stack([bp, -ap]), out=z), out=u)
-        lin = self.lin.reshape(3, d1, 2, 2, m)
+    def __init__(self, samples: np.ndarray, idx: np.ndarray, grid: int, degree: int):
+        self.idx, self.degree, self.nu = idx, degree, 4 * len(idx)
+        self.samples = samples[:, idx]
+        # e^{ikt} for k = -degree .. 2 degree: the Hessian needs n + m and n - m
+        ks = np.arange(-degree, 2 * degree + 1)
+        self.epow = np.exp(1j * np.outer(ks, (2.0 * np.pi / grid) * idx))
+        self.e = self.epow[degree:2 * degree + 1]
 
-        def put(row, z, f):
-            np.multiply(z.real, f, out=lin[row, :, :, 0])
-            np.multiply(z.imag, -f, out=lin[row, :, :, 1])
+    def point(self, s: float, x: np.ndarray) -> _Point:
+        """The barrier terms in factored form, a = s^2 - sigma_1^2 and
+        b = s^2 - sigma_2^2 = a + 4r: the expanded s^4 - s^2 |M|^2 + |det M|^2
+        cancels at a flat optimum."""
+        f = np.stack(arrays.to_pairs(x.reshape(-1, 4)))
+        res = self.samples - np.concatenate([f @ self.e, f @ np.conj(self.e)])
+        base, im_p, qc_sq = _sup_moments(*res)
+        r = np.sqrt(im_p * im_p + qc_sq)
+        sig1 = np.sqrt(base + 2.0 * r)
+        a = (s - sig1) * (s + sig1)
+        return _Point(s, x, res, im_p, r, a, a + 4.0 * r)
 
-        put(0, np.add(plus, minus, out=z), -1.0)
-        put(1, np.subtract(plus, minus, out=z), 0.5)
-        put(2, np.multiply(np.conj(ap * bm - am * bp), u, out=z), -0.5)
-        quad = self.quad.reshape(d1, 2, 2, m)
-        q = quad[:, :, 0]
-        np.add(np.square(u.real, out=q), np.square(u.imag, out=quad[:, :, 1]), out=q)
-        np.multiply(q, 0.25, out=q)
-        quad[:, :, 1] = q
+    def newton_step(self, point: _Point, tau: float):
+        """Newton step on (s, x) for tau s - sum_t log det Z_t, and the
+        squared Newton decrement."""
+        s, _, (ap, bp, am, bm), im_p, r, a, b = point
+        # 2 x 2 blocks per point as (4, G) arrays of entries (00, 01, 10, 11)
+        m = np.stack([ap, bp, np.conj(bm), -np.conj(am)])
+        mh = np.conj(m[[0, 2, 1, 3]])
+        qc = ap * bm - am * bp
+        # W = Z^{-1}: W11 = s S, W21 = -M^H S and W22 = (I - W21 M) / s, with
+        # S = (s^2 I - M M^H)^{-1} = (a I + R) / (a b) and R the rank-one part
+        # [[2(r - im_p), qc], [conj qc, 2(r + im_p)]]
+        sinv = np.stack([2.0 * (r - im_p) + a, qc, np.conj(qc),
+                         2.0 * (r + im_p) + a]) / (a * b)
+        w11 = s * sinv
+        w21 = -_mul22(mh, sinv)
+        w22 = -_mul22(w21, m)
+        w22[::3] += 1.0  # the diagonal entries 00 and 11
+        w22 /= s
+        # d/dx_(n,c) of -log det Z_t is -2 Re e^{int} tr(W21 K_c); the
+        # Hessian is 2 Re of e^{i(n+m)t} tr(W21 K_c W21 K_d) plus
+        # e^{i(n-m)t} tr(W11 K_c W22 K_d^H), summed over t
+        deg, d1, dim = self.degree, self.degree + 1, 4 * self.degree + 4
+        n = np.arange(d1)
+        hx1 = (self.epow @ (w21[:, None] * w21[None]).reshape(16, -1).T) @ _C1
+        hx2 = (self.epow @ (w11[:, None] * w22[None]).reshape(16, -1).T) @ _C2
+        hxx = 2.0 * (hx1[n[:, None] + n + deg] + hx2[n[:, None] - n + deg]).real
+        hess = np.empty((dim + 1, dim + 1))
+        hess[1:, 1:] = hxx.reshape(d1, d1, 4, 4).transpose(0, 2, 1, 3).reshape(dim, dim)
+        w2_21 = _mul22(w21, w11) + _mul22(w22, w21)
+        hess[0, 1:] = hess[1:, 0] = 2.0 * ((self.e @ w2_21.T) @ _KT).real.ravel()
+        hess[0, 0] = (np.vdot(w11, w11) + 2.0 * np.vdot(w21, w21)
+                      + np.vdot(w22, w22)).real
+        grad = np.empty(dim + 1)
+        grad[0] = tau - 2.0 * s * np.sum(1.0 / a + 1.0 / b)
+        grad[1:] = -2.0 * ((self.e @ w21.T) @ _KT).real.ravel()
+        step = np.linalg.solve(hess, -grad)
+        return step, float(-grad @ step)
 
-    def __call__(self, step: float, take: int) -> np.ndarray:
-        """Coarse sup of probes 0 .. take-1 around the last expanded x."""
-        dim = len(self.quad)
-        base0, im0, qc0 = self.moments
-        # the moments of probe i go to row i of work: const + step lin for
-        # i < dim, const - step lin (row i - dim of lin) for i >= dim
-        steps = np.multiply(self.lin, step, out=self.work[:, dim:])
-        qc_const = np.multiply(self.quad, step * step, out=self.qc_const)
-        np.add(qc_const, qc0, out=qc_const)
-        for out, t, const in zip(self.work, steps, (base0 + step * step, im0,
-                                                   qc_const)):
-            np.add(const, t, out=out[:dim])
-            np.subtract(const, t, out=t)
-        # rounding can leave a true zero slightly negative
-        base, im_p, qc_sq = self.work
-        np.maximum(base, 0.0, out=base)
-        np.maximum(qc_sq, 0.0, out=qc_sq)
-        return _sup_finish(base, im_p, qc_sq).max(axis=1)[:take]
+
+def _mul22(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise product of 2 x 2 blocks stored as (4, G) entry arrays."""
+    a, b = a.reshape(2, 2, -1), b.reshape(2, 2, -1)
+    return (a[:, :1] * b[:1] + a[:, 1:] * b[1:]).reshape(4, -1)
+
+
+def _center(ws: _WorkingSet, s: float, x: np.ndarray, tau: float, budget: int):
+    """Damped Newton on tau s - sum_t log det Z_t from (s, x) to a squared
+    decrement <= 0.1, a stalled line search or ``budget`` evaluations."""
+    p, spent = ws.point(s, x), 1
+    while True:
+        step, lam2 = ws.newton_step(p, tau)
+        if lam2 <= 0.1:
+            return p, lam2, spent
+        t = 1.0
+        while True:
+            if spent >= budget or t < 1e-12:
+                return p, lam2, spent
+            q = ws.point(p.s + t * step[0], p.x + t * step[1:])
+            spent += 1
+            # every trial stays strictly inside: s above sigma_1 everywhere
+            if q.s > 0.0 and np.all(q.a > 0.0):
+                change = tau * t * step[0] - np.sum(np.log(q.a / p.a)
+                                                    + np.log(q.b / p.b))
+                if change <= -0.25 * t * lam2:
+                    break
+            t *= 0.5
+        p = q
 
 
 def optimize_distance(
@@ -319,132 +340,87 @@ def optimize_distance(
     grid: int,
     budget: int,
     seed: int = 0,
-    n_starts: int = 8,
 ) -> OptimizeResult:
     """Minimize the sampled sup of |phi - f| over Hardy polynomials f of the
-    given degree, by multi-start coordinate pattern search with shrinking
-    steps.  Deterministic for a fixed seed.
+    given degree.  At grid angle t the residual gives M_t = [[A+, B+],
+    [conj B-, -conj A-]], real-affine in f's coefficients x, whose sigma_max
+    is the sphere sup.  So this is: minimize s subject to [[s I, M_t],
+    [M_t^H, s I]] >= 0, solved from the truncated analytic part of phi by a
+    log-det barrier method (Boyd-Vandenberghe 2004, ch. 11; tau x 20 per
+    outer step) on a subgrid of at least 256 points; after each outer step
+    the full grid's local maxima above s join it (Remez-style exchange).
+    The bound s - (nu + (lam + sqrt nu) lam / (1 - lam)) / tau (nu = 4 per
+    point, lam the Newton decrement; Nesterov 2004, Thm 4.2.7) is
+    ``lower_bound``.
 
-    Each round probes x +- step along every real coordinate.  The probes are
-    ranked by their sup on a subgrid of at most 2047 points, computed by
-    ``_ProbeScreen`` from an exact quadratic expansion of the residual at x,
-    and the n_exact best are evaluated on the full grid; only those full-grid
-    values are accepted or recorded.  Every probe counts against the budget.
-
-    The recorded iterates are the global best-so-far after each probe round;
-    every probed candidate is an admissible analytic competitor, so each
-    iterate upper-bounds the true distance.
+    The iterates, the best full-grid value after each outer step, are exact
+    sups for admissible competitors.  ``converged``: the last is within 1e-6
+    max(1, sup |phi|) of the bound; ``evaluations`` counts sup-formula
+    evaluations (line-search trials and full-grid checks), and at ``budget``
+    the best so far is ``budget_exhausted``.  Deterministic: ``seed`` is unused.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if n_starts < 8:
-        raise ValueError("at least 8 starts required")
-    rng = np.random.default_rng(seed)
-
     _grid_guard(phi, grid)
+    if grid < 4 * degree + 16:
+        # as for phi: a coarser grid aliases the residual's frequencies
+        raise ValueError(f"grid {grid} too coarse for degree {degree}; "
+                         f"need at least {4 * degree + 16}")
     d1 = degree + 1
-    dim = 4 * d1
-    t = 2.0 * np.pi * np.arange(grid) / grid
-    pap, pbp, pam, pbm = _reference_samples(phi, grid)
-    basis = np.exp(1j * np.outer(np.arange(d1), t))  # (d1, grid)
-    cbasis = np.conj(basis)
+    samples = np.stack(_reference_samples(phi, grid))  # A+, B+, A-, B-
+    tol = 1e-6 * max(1.0, float(np.max(_sup_values(*samples))))
 
-    # probes are screened on a strided subgrid and only the most promising
-    # ones re-evaluated on the full grid; reported values are always exact
-    stride = max(1, grid // 1024)
-    screen = _ProbeScreen(basis[:, ::stride], pap[::stride], pbp[::stride],
-                          pam[::stride], pbm[::stride])
+    def full_values(x: np.ndarray) -> np.ndarray:
+        # f on the grid by FFT: its samples at e^{it} and e^{-it}
+        f = np.zeros((2, grid), dtype=complex)
+        f[:, :d1] = arrays.to_pairs(x.reshape(d1, 4))
+        fits = np.concatenate([np.fft.ifft(f) * grid, np.fft.fft(f)])
+        return _sup_values(*(samples - fits))
 
-    # The exact batches are evaluated in one preallocated scratch block (four
-    # residuals plus the scratch of _sup_values) for n_exact probes.
-    # Grid-sized temporaries allocated and freed each round cost more in page
-    # faults than the arithmetic, by an amount that depends on the allocator's
-    # history.
-    n_exact = 4
-    cwork = np.empty((6, n_exact * grid), dtype=complex)
-    rwork = np.empty((5, n_exact * grid))
-
-    def batch_objective(xs: np.ndarray) -> np.ndarray:
-        shape = (len(xs), grid)
-        n = shape[0] * shape[1]
-        c = [buf[:n].reshape(shape) for buf in cwork]
-        r = [buf[:n].reshape(shape) for buf in rwork]
-        fa, fb = arrays.to_pairs(xs.reshape(len(xs), d1, 4))
-        for res, f, b, s in zip(c, (fa, fb, fa, fb), (basis, basis, cbasis, cbasis),
-                                (pap, pbp, pam, pbm)):
-            np.subtract(s, np.matmul(f, b, out=res), out=res)
-        return _sup_values(*c[:4], work=(*r, *c[4:])).max(axis=1)
-
-    scale = max(1.0, float(np.max(_sup_values(pap, pbp, pam, pbm))))
-
-    x_trunc = np.zeros(dim)
+    x = np.zeros(4 * d1)
     for n, a in project_plus(phi).coeffs.items():
         if n <= degree:
-            x_trunc[4 * n: 4 * n + 4] = a.components()
-    starts = [np.zeros(dim), x_trunc]
-    while len(starts) < n_starts:
-        starts.append(x_trunc + rng.normal(scale=0.25 * scale, size=dim))
+            x[4 * n: 4 * n + 4] = a.components()
+    best_x, best = x, float(np.max(full_values(x)))
+    evaluations, iterates, lower = 1, [best], 0.0
+    stride = max(1, grid // max(256, 2 * d1))
+    ws = _WorkingSet(samples, np.arange(0, grid, stride), grid, degree)
+    s, tau = 1.05 * best, ws.nu / best if best else 0.0
+    # one evaluation is kept back for the full-grid check of the last point
+    while best - lower > tol and evaluations < budget - 1:
+        p, lam2, spent = _center(ws, s, x, tau, budget - 1 - evaluations)
+        s, x = float(p.s), p.x
+        lam = math.sqrt(max(lam2, 0.0))
+        if lam < 1.0:
+            slack = ws.nu + (lam + math.sqrt(ws.nu)) * lam / (1.0 - lam)
+            lower = max(lower, s - slack / tau)
+        vals = full_values(x)
+        evaluations += spent + 1
+        full = float(np.max(vals))
+        if full < best:
+            best, best_x = full, x
+        iterates.append(best)
+        peak = (vals > s) & (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+        peak[ws.idx] = False
+        new = np.flatnonzero(peak)
+        if new.size:
+            new = new[np.argsort(vals[new])[-(4 * d1 + 1):]]
+            ws = _WorkingSet(samples, np.union1d(ws.idx, new), grid, degree)
+            s, tau = full + 0.01 * (full - lower), ws.nu / (full - lower)
+        else:
+            tau *= 20.0
 
-    per_start = max(budget // n_starts, 2 * dim + 1)
-    iterates: list[float] = []
-    evaluations = 0
-    global_best = math.inf
-    best_x = starts[0]
-    all_converged = True
-    for x0 in starts:
-        if evaluations >= budget:
-            all_converged = False
-            break
-        x = x0.copy()
-        screen.expand(x)
-        fx = float(batch_objective(x[None])[0])
-        evaluations += 1
-        if fx < global_best:
-            global_best, best_x = fx, x.copy()
-        iterates.append(global_best)
-        step = 0.5 * scale
-        spent = 1
-        converged = False
-        while spent < per_start and evaluations < budget:
-            if step < 1e-9 * scale:
-                converged = True
-                break
-            take = min(2 * dim, per_start - spent, budget - evaluations)
-            evaluations += take
-            spent += take
-            # probe i moves coordinate i mod dim by +step (i < dim) or -step
-            top = np.argsort(screen(step, take))[: min(n_exact, take)]
-            probes = np.repeat(x[None], len(top), axis=0)
-            for k, i in enumerate(top):
-                probes[k, i % dim] += step if i < dim else -step
-            exact = batch_objective(probes)
-            j = int(np.argmin(exact))
-            if exact[j] < fx - 1e-15 * scale:
-                x = probes[j]
-                fx = float(exact[j])
-                screen.expand(x)
-            else:
-                step *= 0.5
-            if fx < global_best:
-                global_best, best_x = fx, x.copy()
-            iterates.append(global_best)
-        if not converged and spent >= per_start and step >= 1e-9 * scale:
-            all_converged = False
-
-    coeffs = {}
-    xr = best_x.reshape(d1, 4)
-    for n in range(d1):
-        q = Quaternion(*xr[n])
-        if q.norm_sq() != 0.0:
-            coeffs[n] = q
+    coeffs = {n: Quaternion(*c) for n, c in enumerate(best_x.reshape(d1, 4))
+              if np.any(c != 0.0)}
     return OptimizeResult(
         best_approx=SliceLaurentSeries(coeffs),
-        distance=global_best,
+        distance=best,
         iterates=iterates,
         evaluations=evaluations,
-        status="converged" if all_converged else "budget_exhausted",
+        status="converged" if best - lower <= tol else "budget_exhausted",
+        lower_bound=lower,
     )
 
 
@@ -462,6 +438,11 @@ class ApproximationReport:
     residual_negative_mass: float
     truncation_N: int
     grid: int
+    optimizer_status: str
+    optimizer_evaluations: int
+    optimizer_lower_bound: float
+    constructive_status: str
+    excluded_fraction: float
 
     def check(self, tol: float = 1e-6) -> bool:
         """The always-true direction: the Hankel norm never exceeds the
@@ -480,11 +461,23 @@ class ApproximationReport:
             f"residual_negative_mass: {self.residual_negative_mass!r}",
             f"truncation_N: {self.truncation_N}",
             f"grid: {self.grid}",
+            f"optimizer_status: {self.optimizer_status}",
+            f"optimizer_evaluations: {self.optimizer_evaluations}",
+            f"optimizer_lower_bound: {self.optimizer_lower_bound!r}",
+            f"constructive_status: {self.constructive_status}",
+            f"excluded_fraction: {self.excluded_fraction!r}",
             "best_approx:",
         ]
         for line in dumps_series(self.best_approx).splitlines():
             lines.append("  " + line)
         return "\n".join(lines) + "\n"
+
+
+def _solver_state(cons: ConstructiveResult, opt: OptimizeResult) -> dict:
+    """The report fields that say how far to trust the two distances."""
+    return dict(optimizer_status=opt.status, optimizer_evaluations=opt.evaluations,
+                optimizer_lower_bound=opt.lower_bound, constructive_status=cons.status,
+                excluded_fraction=cons.excluded_fraction)
 
 
 def approximation_report(
@@ -507,6 +500,7 @@ def approximation_report(
         residual_negative_mass=cons.residual_negative_mass,
         truncation_N=N,
         grid=grid,
+        **_solver_state(cons, opt),
     )
 
 
@@ -520,6 +514,11 @@ class NehariReport:
     sandwich_ok: bool
     equality_ok: bool
     tol: float
+    optimizer_status: str
+    optimizer_evaluations: int
+    optimizer_lower_bound: float
+    constructive_status: str
+    excluded_fraction: float
 
     @property
     def passed(self) -> bool:
@@ -561,4 +560,5 @@ def verify_nehari_bounds(
         sandwich_ok=sandwich_ok,
         equality_ok=equality_ok,
         tol=tol,
+        **_solver_state(cons, opt),
     )

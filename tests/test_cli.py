@@ -150,6 +150,32 @@ class TestDistanceAndNorm:
         assert float(values["constructive_distance"]) == pytest.approx(1.0, abs=1e-6)
         assert float(values["residual_negative_mass"]) <= 1e-9
 
+    def test_report_shows_solver_state(self, tmp_path, capsys):
+        path = tmp_path / "symbol.txt"
+        save_series(SliceLaurentSeries({-2: Quaternion(1.0, 0.5, 0, 0),
+                                        -1: Quaternion(0, 0, 1.0, 0)}), path)
+        code, out, err = run(capsys, ["distance", "--symbol", str(path), *FAST])
+        assert code == 0 and err == ""
+        values = dict(line.split(": ", 1) for line in out.splitlines()
+                      if ": " in line and not line.startswith(" "))
+        assert values["optimizer_status"] == "converged"
+        assert 1 <= int(values["optimizer_evaluations"]) <= 300
+        assert (0.0 < float(values["optimizer_lower_bound"])
+                <= float(values["optimized_distance"]))
+        assert values["constructive_status"] == "ok"
+        assert float(values["excluded_fraction"]) == 0.0
+
+    def test_budget_exhausted_warns(self, tmp_path, capsys):
+        path = tmp_path / "symbol.txt"
+        save_series(SliceLaurentSeries({-2: Quaternion(1.0, 0.5, 0, 0),
+                                        -1: Quaternion(0, 0, 1.0, 0)}), path)
+        argv = ["distance", "--symbol", str(path), *FAST, "--budget", "5"]
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        assert "optimizer_status: budget_exhausted" in out
+        assert "optimizer_evaluations: 5" in out
+        assert err.startswith("warning: ") and err.count("\n") == 1
+
     def test_analytic_symbol(self, tmp_path, capsys):
         path = tmp_path / "symbol.txt"
         save_series(SliceLaurentSeries({2: Quaternion(0, 1, 0, 0)}), path)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from slicehankel.hankel import (
     operator_norm,
 )
 from slicehankel.nehari import (
-    _ProbeScreen,
     approximation_report,
     constructive_best_approx,
     hankel_norm,
@@ -25,13 +25,13 @@ from slicehankel.nehari import (
 from slicehankel.quat import Quaternion
 from slicehankel.series import (
     SliceLaurentSeries,
-    _reference_samples,
-    _sup_values,
     l2_norm,
     linf_norm,
+    load_series,
 )
 
 ONE = Quaternion(1.0)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def random_symbol(rng, neg=3, pos=2):
@@ -224,76 +224,7 @@ class TestConstructive:
             assert abs(gauged.distance - base.distance) <= 1e-10
 
 
-def screen_and_reference(phi, degree, x, step, take, grid=2048, stride=2):
-    """The probe screen's values and _sup_values on the probes' coarse
-    residuals built directly, as the optimizer lays its probes out."""
-    d1, dim = degree + 1, 4 * (degree + 1)
-    t = 2.0 * np.pi * np.arange(grid) / grid
-    basis = np.exp(1j * np.outer(np.arange(d1), t))[:, ::stride]
-    samples = [s[::stride] for s in _reference_samples(phi, grid)]
-    screen = _ProbeScreen(basis, *samples)
-    screen.expand(x)
-    got = screen(step, take)
-    probes = np.repeat(x[None], take, axis=0)
-    for i in range(take):
-        probes[i, i % dim] += step if i < dim else -step
-    fa, fb = arrays.to_pairs(probes.reshape(take, d1, 4))
-    ap, bp, am, bm = samples
-    ref = _sup_values(ap - fa @ basis, bp - fb @ basis,
-                      am - fa @ np.conj(basis), bm - fb @ np.conj(basis))
-    return got, ref.max(axis=1)
-
-
 class TestOptimizer:
-    def test_probe_screen_matches_sup_values(self):
-        rng = np.random.default_rng(57)
-        for _ in range(12):
-            coeffs = {-(m + 1): Quaternion(*rng.normal(size=4))
-                      for m in range(int(rng.integers(1, 5)))}
-            for pos in range(int(rng.integers(0, 3))):
-                coeffs[pos] = Quaternion(*rng.normal(size=4))
-            phi = SliceLaurentSeries(coeffs)
-            degree = int(rng.integers(0, 7))
-            dim = 4 * (degree + 1)
-            scale = max(1.0, linf_norm(phi, 2048))
-            x = rng.normal(scale=0.5 * scale, size=dim)
-            for step in scale * np.array([0.5, 1e-2, 1e-5, 1e-9]):
-                for take in (2 * dim, dim + 1, dim, 3):
-                    got, ref = screen_and_reference(phi, degree, x, step, take)
-                    assert got.shape == (take,)
-                    assert np.all(np.abs(got - ref) <= 1e-12 * ref)
-
-    def test_probe_screen_at_zero_residual(self):
-        # x = the analytic symbol itself (the start of test_interpolation_case):
-        # every coarse residual is zero, so each probe's residual is the probe
-        # term alone and its sup is exactly the step.  The directly built
-        # residuals carry the rounding of x +- step, up to an ulp of x per
-        # coordinate, which swamps a relative bound at tiny steps.
-        phi = SliceLaurentSeries({0: Quaternion(1, 2, 0, 1), 2: Quaternion(0.5)})
-        x = np.zeros(16)
-        x[0:4], x[8:12] = (1, 2, 0, 1), (0.5, 0, 0, 0)
-        ulp = np.spacing(np.max(np.abs(x)))
-        for step in (0.5, 1e-4, 1e-9):
-            for take in (32, 17):
-                got, ref = screen_and_reference(phi, 3, x, step, take, grid=512,
-                                                stride=1)
-                assert np.all(np.abs(got - step) <= 1e-12 * step)
-                assert np.all(np.abs(got - ref) <= 1e-12 * ref + 4 * ulp)
-        # one step off the fit, the probe back lands on a zero residual, where
-        # the expanded moments cancel to rounding level and may go negative;
-        # clamped, their sup stays finite and at the square root of rounding
-        for d in range(16):
-            for step in (0.5, 2.0**-20):
-                off = x.copy()
-                off[d] += step
-                got, ref = screen_and_reference(phi, 3, off, step, 32, grid=512,
-                                                stride=1)
-                assert np.all(np.isfinite(got))
-                assert ref[16 + d] == 0.0 and got[16 + d] <= 1e-7 * step
-                others = np.arange(32) != 16 + d
-                assert np.all(np.abs(got - ref)[others]
-                              <= 1e-12 * ref[others] + 4 * ulp)
-
     def test_interpolation_case(self):
         phi = SliceLaurentSeries({0: Quaternion(1, 2, 0, 1), 2: Quaternion(0.5)})
         res = optimize_distance(phi, degree=3, grid=512, budget=5000, seed=0)
@@ -328,6 +259,89 @@ class TestOptimizer:
             optimize_distance(phi, degree=-1, grid=512, budget=100, seed=0)
         with pytest.raises(ValueError):
             optimize_distance(phi, degree=1, grid=512, budget=0, seed=0)
+
+
+def criterion5_symbol(rng):
+    """Negative depth 1-4 and 0-2 analytic coefficients, as in criterion 5
+    and the nehari benchmark."""
+    coeffs = {-(m + 1): Quaternion(*rng.normal(size=4))
+              for m in range(int(rng.integers(1, 5)))}
+    for pos in range(int(rng.integers(0, 3))):
+        coeffs[pos] = Quaternion(*rng.normal(size=4))
+    return SliceLaurentSeries(coeffs)
+
+
+class TestBarrierSolver:
+    def check_certified(self, phi, degree, grid):
+        res = optimize_distance(phi, degree, grid, 20000)
+        scale = max(1.0, linf_norm(phi, grid))
+        assert res.status == "converged"
+        assert res.lower_bound <= res.distance
+        assert res.distance - res.lower_bound <= 1e-6 * scale
+        # the distance is the exact fine-grid sup of the returned competitor
+        exact = linf_norm(phi - res.best_approx, grid)
+        assert abs(res.distance - exact) <= 1e-12 * exact
+        assert res.evaluations <= 20000
+        return res
+
+    @pytest.mark.parametrize("name", ["depth3.txt", "rank_one.txt"])
+    def test_golden_symbols_converge(self, name):
+        phi = load_series(GOLDEN / name)
+        res = self.check_certified(phi, 6, 4096)
+        assert hankel_norm(phi, 64) <= res.distance + 1e-6
+
+    def test_random_symbols_converge(self):
+        rng = np.random.default_rng(58)
+        for _ in range(12):
+            phi = criterion5_symbol(rng)
+            res = self.check_certified(phi, 6, 8192)
+            assert all(hankel_norm(phi, 64) <= it + 1e-6 for it in res.iterates)
+
+    def test_small_budget_warm_up_call(self):
+        phi = SliceLaurentSeries({-2: Quaternion(1.0, 0.5, 0.0, 0.0),
+                                  0: Quaternion(0.0, 0.0, 1.0, 0.0)})
+        res = optimize_distance(phi, 1, 64, 40)
+        assert math.isfinite(res.distance)
+        assert res.distance >= hankel_norm(phi, 16) - 1e-6
+        assert res.evaluations <= 40
+
+    def test_budget_exhausted_keeps_best_iterate(self):
+        phi = criterion5_symbol(np.random.default_rng(59))
+        res = optimize_distance(phi, 6, 4096, 30)
+        assert res.status == "budget_exhausted"
+        assert res.evaluations <= 30
+        assert res.distance == res.iterates[-1] == min(res.iterates)
+        assert res.lower_bound <= res.distance
+
+    def test_depth_one_optimum_is_analytic_part(self):
+        # for c z^{-1} + f with f analytic of degree <= degree, f is the best
+        # approximation and the distance is |c| = the Hankel norm
+        rng = np.random.default_rng(60)
+        for degree in (0, 2, 6):
+            coeffs = {n: Quaternion(*rng.normal(size=4)) for n in range(degree + 1)}
+            coeffs[-1] = Quaternion(*rng.normal(size=4))
+            phi = SliceLaurentSeries(coeffs)
+            hn = hankel_norm(phi, 16)
+            res = optimize_distance(phi, degree, 1024, 20000)
+            assert abs(res.distance - hn) <= 1e-9 * hn
+
+    def test_gap_shrinks_with_degree(self):
+        rng = np.random.default_rng(61)
+        phi = SliceLaurentSeries({-m: Quaternion(*rng.normal(size=4))
+                                  for m in (1, 2, 3)})
+        hn = hankel_norm(phi, 16)
+        scale = max(1.0, linf_norm(phi, 4096))
+        dists = [optimize_distance(phi, degree, 4096, 20000).distance
+                 for degree in (6, 12, 24)]
+        assert dists[1] <= dists[0] + 1e-6 * scale
+        assert dists[2] <= dists[1] + 1e-6 * scale
+        assert dists[2] - hn <= (dists[0] - hn) / 10
+
+    def test_grid_too_coarse_for_degree(self):
+        phi = SliceLaurentSeries({-1: ONE})
+        with pytest.raises(ValueError, match="need at least 136"):
+            optimize_distance(phi, degree=30, grid=128, budget=100)
+        optimize_distance(phi, degree=30, grid=136, budget=100)
 
 
 class TestReports:
