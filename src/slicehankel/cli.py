@@ -49,13 +49,15 @@ from .series import (
 __all__ = ["ExperimentConfig", "main"]
 
 # size caps checked before anything is allocated: the sampling grid sizes
-# every boundary array and --n the Hilbert matrices.  At the product cap the
-# optimizer peaked at 84 MB RSS (degree 255, grid 2^15) and 376 MB (degree 7,
-# grid 2^20); the reference is degree 6, grid 8192.
+# every boundary array, --n the Hilbert matrices and a symbol's depth -n_min
+# its Hankel block.  At the product cap the optimizer peaked at 84 MB RSS
+# (degree 255, grid 2^15) and 376 MB (degree 7, grid 2^20); the reference is
+# degree 6, grid 8192.  maximizing_vector at depth 1024 peaked at 558 MB RSS.
 MAX_GRID = 2**20
 MAX_HILBERT_N = 2048
 MAX_DEGREE = 256
 MAX_DEGREE_GRID = 2**23
+MAX_DEPTH = 1024
 
 
 @dataclass
@@ -222,8 +224,15 @@ def cmd_verify(config: ExperimentConfig, debug_corrupt: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _load_symbol(path: str) -> SliceLaurentSeries:
+    phi = load_series(path)
+    if -phi.n_min > MAX_DEPTH:
+        raise ValueError(f"symbol depth {-phi.n_min} above the limit {MAX_DEPTH}")
+    return phi
+
+
 def cmd_distance(config: ExperimentConfig, symbol_path: str) -> int:
-    phi = load_series(symbol_path)
+    phi = _load_symbol(symbol_path)
     report = approximation_report(
         phi, config.truncation_N, config.grid,
         config.degree, config.budget, config.seed,
@@ -236,7 +245,7 @@ def cmd_distance(config: ExperimentConfig, symbol_path: str) -> int:
 
 
 def cmd_norm(config: ExperimentConfig, symbol_path: str) -> int:
-    phi = load_series(symbol_path)
+    phi = _load_symbol(symbol_path)
     hn = hankel_norm(phi, config.truncation_N)
     sup = linf_norm(phi, config.grid)
     _emit(f"hankel_norm: {hn!r}\nlinf_norm: {sup!r}\n", config.output_path)

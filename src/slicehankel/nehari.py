@@ -9,9 +9,8 @@ grid points grown by Remez-style exchange, and certifies its value by the
 barrier's lower bound.  For finite symbols the two routes and the Hankel norm
 must agree, which is what the verification report checks.
 
-All sampling on the boundary (the grid evaluator, the reference-slice samples
-and the closed-form sphere sup) lives in ``series``; this module only combines
-the samples.
+All sampling on the boundary (the FFT grid sampler and the closed-form sphere
+sup) lives in ``series``; this module only combines the samples.
 """
 
 from __future__ import annotations
@@ -35,9 +34,10 @@ from .hankel import (
 from .quat import Quaternion
 from .series import (
     SliceLaurentSeries,
-    _evaluate_many,
+    _cos_sin,
+    _fft_samples,
     _grid_guard,
-    _reference_samples,
+    _grid_samples,
     _sup_moments,
     _sup_values,
     conj_c,
@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 _ZERO_NORM_TOL = 1e-13
+_ONE, _I = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
 
 
 def _truncation_guard(phi: SliceLaurentSeries, N: int) -> None:
@@ -147,51 +148,34 @@ def constructive_best_approx(
     gs = symmetrize(g)
     gc = conj_c(g)
 
-    t = 2.0 * np.pi * np.arange(grid) / grid
-    ref_units = np.broadcast_to(np.array([1.0, 0.0, 0.0]), (grid, 3))
+    # (h * g^{-*})(p) = h(p) g^{-*}(h(p)^{-1} p h(p)), and at p = e^{+-ti} the
+    # moved point is e^{+-tK}, K = h(p)^{-1} i h(p), where g^s and g^c are C +- K S
+    h_samples = _grid_samples(h, grid)
+    gs_cs, gc_cs = (_cos_sin(_grid_samples(s, grid)) for s in (gs, gc))
     excluded = np.zeros(grid, dtype=bool)
-    corr = {}
-    f_samples_plus = None
-    for sign in (1.0, -1.0):
-        theta = sign * t
-        (hv,) = _evaluate_many([h], theta, ref_units)
-        hn2 = np.sum(np.square(hv), axis=1)
-        hmask = hn2 <= (1e-12) ** 2
-        hv_safe = np.where(hmask[:, None], np.array([1.0, 0, 0, 0]), hv)
-        p = np.zeros((grid, 4))
-        p[:, 0] = np.cos(theta)
-        p[:, 1] = np.sin(theta)
-        moved = arrays.mul(arrays.mul(arrays.inv(hv_safe), p), hv_safe)
-        moved /= arrays.norm(moved)[:, None]
-        theta2 = np.arccos(np.clip(moved[:, 0], -1.0, 1.0))
-        im = moved[:, 1:]
-        imn = np.sqrt(np.sum(np.square(im), axis=1))
-        units2 = np.where(
-            imn[:, None] > 1e-14, im / np.maximum(imn, 1e-300)[:, None],
-            np.array([1.0, 0.0, 0.0]),
-        )
-        gsv, gcv = _evaluate_many([gs, gc], theta2, units2)
-        gsn = arrays.norm(gsv)
-        excl = (gsn <= 1e-10) & ~hmask
-        gsv_safe = np.where(excl[:, None], np.array([1.0, 0, 0, 0]), gsv)
-        recip = arrays.mul(arrays.inv(gsv_safe), gcv)
-        c = arrays.mul(hv, recip)
-        c[hmask] = 0.0
-        c[excl] = 0.0
+    corr = []
+    for sign, pairs in ((1.0, h_samples[:2]), (-1.0, h_samples[2:])):
+        hv = arrays.from_pairs(*pairs)
+        hmask = arrays.norm(hv) <= 1e-12
+        hv_safe = np.where(hmask[:, None], _ONE, hv)
+        k = arrays.mul(arrays.mul(arrays.inv(hv_safe), _I), hv_safe)
+        gsv, gcv = (cos + sign * arrays.mul(k, sin) for cos, sin in (gs_cs, gc_cs))
+        excl = (arrays.norm(gsv) <= 1e-10) & ~hmask
+        gsv_safe = np.where(excl[:, None], _ONE, gsv)
+        c = arrays.mul(hv, arrays.mul(arrays.inv(gsv_safe), gcv))
+        c[hmask | excl] = 0.0
         excluded |= excl
-        corr[sign] = c
-        if sign > 0:
-            (phi_v,) = _evaluate_many([phi], theta, ref_units)
-            f_samples_plus = phi_v - c
+        corr.append(arrays.to_pairs(c))
 
-    rp, rm = corr[1.0], corr[-1.0]
-    vals = _sup_values(*arrays.to_pairs(rp), *arrays.to_pairs(rm))
+    vals = _sup_values(*corr[0], *corr[1])
     good = ~excluded
     distance = float(np.max(vals[good])) if np.any(good) else 0.0
     excluded_fraction = float(np.mean(excluded))
     status = "warning" if excluded_fraction > 0.01 else "ok"
 
-    fa, fb = (np.fft.fft(z) / grid for z in arrays.to_pairs(f_samples_plus))
+    # f = phi - h * g^{-*} at e^{it}, back to coefficients
+    f_plus = _grid_samples(phi, grid)[:2] - np.stack(corr[0])
+    fa, fb = np.fft.fft(f_plus) / grid
     freqs = np.fft.fftfreq(grid, d=1.0 / grid)
     neg = freqs < 0
     mass = float(np.sqrt(np.sum(np.abs(fa[neg]) ** 2 + np.abs(fb[neg]) ** 2)))
@@ -203,13 +187,10 @@ def constructive_best_approx(
 def _series_from_spectrum(fa, fb, freqs, cutoff: int) -> SliceLaurentSeries:
     mags = np.abs(fa) + np.abs(fb)
     floor = 1e-9 * max(float(np.max(mags)), 1e-300)
-    comps = arrays.from_pairs(fa, fb)
-    coeffs = {}
-    for i, nf in enumerate(freqs):
-        n = int(nf)
-        if 0 <= n <= cutoff and mags[i] > floor:
-            coeffs[n] = Quaternion(*comps[i])
-    return SliceLaurentSeries(coeffs)
+    keep = np.flatnonzero((freqs >= 0) & (freqs <= cutoff) & (mags > floor))
+    comps = arrays.from_pairs(fa[keep], fb[keep])
+    return SliceLaurentSeries(
+        {int(freqs[i]): Quaternion(*c) for i, c in zip(keep, comps)})
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +350,13 @@ def optimize_distance(
         raise ValueError(f"grid {grid} too coarse for degree {degree}; "
                          f"need at least {4 * degree + 16}")
     d1 = degree + 1
-    samples = np.stack(_reference_samples(phi, grid))  # A+, B+, A-, B-
+    samples = _grid_samples(phi, grid)  # A+, B+, A-, B-
     tol = 1e-6 * max(1.0, float(np.max(_sup_values(*samples))))
 
     def full_values(x: np.ndarray) -> np.ndarray:
-        # f on the grid by FFT: its samples at e^{it} and e^{-it}
         f = np.zeros((2, grid), dtype=complex)
         f[:, :d1] = arrays.to_pairs(x.reshape(d1, 4))
-        fits = np.concatenate([np.fft.ifft(f) * grid, np.fft.fft(f)])
-        return _sup_values(*(samples - fits))
+        return _sup_values(*(samples - _fft_samples(f)))
 
     x = np.zeros(4 * d1)
     for n, a in project_plus(phi).coeffs.items():

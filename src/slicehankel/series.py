@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from math import fsum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -149,8 +149,8 @@ def evaluate(f: SliceLaurentSeries, p: BoundaryPoint) -> Quaternion:
     Grouped as C + I*S with C = sum cos(nt) a_n, S = sum sin(nt) a_n, which is
     the same sum with fewer quaternion products.
     """
-    # Kept apart from _evaluate_many: the pointwise API, and the independent
-    # scalar oracle the sampled sup norms are tested against.
+    # Kept apart from _grid_samples: the pointwise API, and the independent
+    # scalar oracle the grid samples are tested against.
     t = p.angle
     cw = cx = cy = cz = 0.0
     sw = sx = sy = sz = 0.0
@@ -174,32 +174,39 @@ def evaluate(f: SliceLaurentSeries, p: BoundaryPoint) -> Quaternion:
     )
 
 
-def _evaluate_many(
-    series_seq: Sequence[SliceLaurentSeries],
-    theta: np.ndarray,
-    units: np.ndarray,
-) -> list[np.ndarray]:
-    """Evaluate several series at the points e^{theta_k I_k}.
+def _grid_samples(f: SliceLaurentSeries, grid: int) -> np.ndarray:
+    """Samples of f at e^{it_k} and e^{-it_k}, t_k = 2 pi k / grid, as the
+    complex pairs (A+, B+, A-, B-) of a (4, grid) array.
 
-    theta: (g,), units: (g, 3) unit vectors.  Returns (g, 4) component arrays,
-    each C + I*S as in evaluate.  The trig basis over the union of supports
-    is built once.
+    With a_n = alpha_n + beta_n j, f(e^{it}) = sum e^{int} alpha_n
+    + (sum e^{int} beta_n) j, so the pairs placed at index n mod grid give
+    A+ as the unscaled inverse FFT and A- as the FFT, and B+- likewise from
+    the beta_n.
     """
-    all_ns = sorted(set().union(*(set(s.coeffs) for s in series_seq)) or {0})
-    ns = np.array(all_ns, dtype=float)
-    pos = {n: i for i, n in enumerate(all_ns)}
-    phase = np.exp(1j * theta[:, None] * ns[None, :])
-    cosm, sinm = phase.real, phase.imag
-    uq = np.concatenate([np.zeros((len(theta), 1)), units], axis=1)
-    out = []
-    for s in series_seq:
-        comp = np.zeros((len(all_ns), 4))
-        for n, a in s.coeffs.items():
-            comp[pos[n]] = a.components()
-        c = cosm @ comp
-        si = sinm @ comp
-        out.append(c + arrays.mul(uq, si))
-    return out
+    placed = np.zeros((2, grid), dtype=complex)
+    if f.coeffs:
+        ns = np.fromiter(f.coeffs, dtype=int, count=len(f.coeffs))
+        if ns.max() - ns.min() >= grid:
+            raise ValueError(f"grid {grid} aliases the support span "
+                             f"{ns.min()}..{ns.max()}")
+        comps = np.array([a.components() for a in f.coeffs.values()])
+        placed[:, ns % grid] = arrays.to_pairs(comps)
+    return _fft_samples(placed)
+
+
+def _fft_samples(placed: np.ndarray) -> np.ndarray:
+    """The FFT step of _grid_samples, from coefficient pairs already placed
+    at index n mod grid in a (2, grid) array."""
+    return np.concatenate([np.fft.ifft(placed, norm="forward"), np.fft.fft(placed)])
+
+
+def _cos_sin(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C = sum cos(n t_k) a_n and S = sum sin(n t_k) a_n as (grid, 4)
+    components, from the (A+, B+, A-, B-) samples: f(e^{t_k J}) = C + J S on
+    every slice J."""
+    ap, bp, am, bm = samples
+    return (arrays.from_pairs((ap + am) / 2, (bp + bm) / 2),
+            arrays.from_pairs((ap - am) / 2j, (bp - bm) / 2j))
 
 
 def extend_from_slice(
@@ -339,87 +346,34 @@ def l2_norm(f: SliceLaurentSeries) -> float:
 def sphere_sup(a: Quaternion, b: Quaternion) -> float:
     """sup over J in S of |a + Jb|, in closed form: the one-point case of
     _sup_values, whose reference-slice values at J = +-i are a +- ib."""
-    a1, a2 = arrays.to_pairs(np.array([a.components()]))
-    b1, b2 = arrays.to_pairs(np.array([b.components()]))
-    (sup,) = _sup_values(a1 + 1j * b1, a2 + 1j * b2, a1 - 1j * b1, a2 - 1j * b2)
-    return float(sup)
+    a1, a2 = arrays.to_pairs(np.array(a.components()))
+    b1, b2 = arrays.to_pairs(np.array(b.components()))
+    return float(_sup_values(a1 + 1j * b1, a2 + 1j * b2, a1 - 1j * b1, a2 - 1j * b2))
 
 
-def _pair_arrays(f: SliceLaurentSeries):
-    """Coefficients as complex pairs a_n = alpha_n + beta_n j on the reference
-    slice (alpha = w + ix, beta = y + iz)."""
-    ns = np.array(sorted(f.coeffs), dtype=float)
-    comp = np.array([f.coeffs[int(n)].components() for n in ns], dtype=float)
-    if comp.size == 0:
-        comp = np.zeros((0, 4))
-    alpha, beta = arrays.to_pairs(comp)
-    return ns, alpha, beta
-
-
-def _reference_samples(f: SliceLaurentSeries, grid: int):
-    """Samples of f at e^{it_k} and e^{-it_k}, t_k = 2 pi k / grid, as complex
-    pairs (A+, B+, A-, B-)."""
-    # Kept apart from _evaluate_many: deriving these from the component
-    # evaluator moves the last digits of the sampled sup norms and of the
-    # optimized distances built on them.
-    t = 2.0 * np.pi * np.arange(grid) / grid
-    ns, alpha, beta = _pair_arrays(f)
-    if ns.size == 0:
-        z = np.zeros(grid, dtype=complex)
-        return z, z.copy(), z.copy(), z.copy()
-    phase = np.exp(1j * np.outer(t, ns))
-    ap = phase @ alpha
-    bp = phase @ beta
-    am = np.conj(phase) @ alpha
-    bm = np.conj(phase) @ beta
-    return ap, bp, am, bm
-
-
-def _sup_values(ap, bp, am, bm, work=None):
+def _sup_values(ap, bp, am, bm):
     """Pointwise sup over J of |f(e^{tJ})| from the +/- reference samples.
 
     With f(e^{tJ}) = a + Jb, |a + Jb|^2 = |a|^2 + |b|^2 - 2 <Im(b conj(a)), J>
     is largest at J = -Im(b conj(a)) / |Im(b conj(a))|.  Written with
     a = (f+ + f-)/2 and b = (i/2)(f- - f+) it reduces to |f+|^2, |f-|^2 and
-    cross terms.
-
-    ``work``, if given, holds five float then two complex arrays of the
-    samples' shape; every temporary and the result are written into them, so
-    a hot loop that passes the same scratch allocates nothing.
+    cross terms: sup = sqrt(base + 2 sqrt(im_p^2 + |qc|^2 / 4)).
     """
-    return _sup_finish(*_sup_moments(ap, bp, am, bm, work))
+    base, im_p, qc_sq = _sup_moments(ap, bp, am, bm)
+    return np.sqrt(base + 2.0 * np.sqrt(im_p ** 2 + qc_sq))
 
 
-def _sup_moments(ap, bp, am, bm, work=None):
-    """The moments (base, im_p, |qc|^2 / 4) of the sup formula, written into
-    slots 4, 1 and 0 of ``work`` (fresh arrays when work is None):
+def _sup_moments(ap, bp, am, bm):
+    """The moments (base, im_p, |qc|^2 / 4) of the sup formula:
       base = (|ap|^2 + |am|^2 + |bp|^2 + |bm|^2) / 2
       im_p = ((|am|^2 - |ap|^2) + (|bm|^2 - |bp|^2)) / 4
       qc = ap bm - am bp
     """
-    w = work if work is not None else (None,) * 7
-    s1 = np.square(np.abs(ap, out=w[0]), out=w[0])
-    s2 = np.square(np.abs(am, out=w[1]), out=w[1])
-    s3 = np.square(np.abs(bp, out=w[2]), out=w[2])
-    s4 = np.square(np.abs(bm, out=w[3]), out=w[3])
-    base = np.add(np.add(s1, s2, out=w[4]), s3, out=w[4])
-    base = np.multiply(np.add(base, s4, out=w[4]), 0.5, out=w[4])
-    im_p = np.add(np.subtract(s2, s1, out=w[1]), np.subtract(s4, s3, out=w[3]),
-                  out=w[1])
-    im_p = np.multiply(im_p, 0.25, out=w[1])
-    qc = np.subtract(np.multiply(ap, bm, out=w[5]), np.multiply(am, bp, out=w[6]),
-                     out=w[5])
-    qc_sq = np.multiply(np.square(np.abs(qc, out=w[0]), out=w[0]), 0.25, out=w[0])
-    return base, im_p, qc_sq
-
-
-def _sup_finish(base, im_p, qc_sq):
-    """sup = sqrt(base + 2 sqrt(im_p^2 + |qc|^2 / 4)) from the moments,
-    computed in place: im_p is overwritten and the result is written into
-    base."""
-    im_sq = np.add(np.square(im_p, out=im_p), qc_sq, out=im_p)
-    root = np.multiply(np.sqrt(im_sq, out=im_sq), 2.0, out=im_sq)
-    return np.sqrt(np.add(base, root, out=base), out=base)
+    s1, s2 = np.abs(ap) ** 2, np.abs(am) ** 2
+    s3, s4 = np.abs(bp) ** 2, np.abs(bm) ** 2
+    base = 0.5 * (s1 + s2 + s3 + s4)
+    im_p = 0.25 * ((s2 - s1) + (s4 - s3))
+    return base, im_p, 0.25 * np.abs(ap * bm - am * bp) ** 2
 
 
 def _grid_guard(f: SliceLaurentSeries, grid: int) -> None:
@@ -439,8 +393,7 @@ def linf_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
     _grid_guard(f, grid)
     if f.is_zero():
         return 0.0
-    vals = _sup_values(*_reference_samples(f, grid))
-    return float(np.max(vals))
+    return float(np.max(_sup_values(*_grid_samples(f, grid))))
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +420,12 @@ def bmo_norm(
 
     rng = np.random.default_rng(0)
     units = [REFERENCE_UNIT] + [sample_sphere(rng) for _ in range(n_units)]
-    t = 2.0 * np.pi * np.arange(grid) / grid
     dt = 2.0 * np.pi / grid
+    cos_part, sin_part = _cos_sin(_grid_samples(f, grid))
     best = 0.0
     for unit in units:
-        (vals,) = _evaluate_many(
-            [f], t, np.broadcast_to([unit.x, unit.y, unit.z], (grid, 3))
-        )
+        vals = cos_part + arrays.mul(np.array(unit.as_quaternion().components()),
+                                     sin_part)
         ext = np.concatenate([vals, vals[:1]], axis=0)
         for m in range(n_arcs + 1):
             npts = grid >> m

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slicehankel import cli
@@ -127,6 +128,22 @@ class TestConfig:
         assert err.startswith("error: ") and limit in err
         assert err.count("\n") == 1
 
+    def test_deep_symbol_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the depth cap must fire before any Hankel block is built
+        def unreachable(*args):
+            raise AssertionError("depth cap checked too late")
+
+        monkeypatch.setattr(cli, "hankel_norm", unreachable)
+        monkeypatch.setattr(cli, "approximation_report", unreachable)
+        path = tmp_path / "deep.txt"
+        save_series(SliceLaurentSeries({-1025: Quaternion(1.0)}), path)
+        for command in ("norm", "distance"):
+            code, out, err = run(capsys, [command, "--symbol", str(path), "--n", "2058"])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "1025" in err and "1024" in err
+            assert err.count("\n") == 1
+
     def test_defaults(self):
         cfg = ExperimentConfig()
         assert (cfg.seed, cfg.truncation_N, cfg.grid) == (0, 64, 4096)
@@ -200,6 +217,19 @@ class TestDistanceAndNorm:
         assert code == 0
         assert "hankel_norm: 2.0" in out
         assert "linf_norm: 2.0" in out
+
+
+    def test_norm_on_the_largest_grid(self, tmp_path, capsys):
+        # a 6000-term symbol at --grid 2^20: a dense grid x support phase
+        # matrix would need 47 GiB
+        rng = np.random.default_rng(31)
+        path = tmp_path / "wide.txt"
+        save_series(SliceLaurentSeries(
+            {n: Quaternion(*rng.normal(size=4)) for n in range(6000)}), path)
+        code, out, err = run(capsys, ["norm", "--symbol", str(path),
+                                      "--grid", str(2**20)])
+        assert code == 0 and err == ""
+        assert out.startswith("hankel_norm: 0.0\nlinf_norm: ")
 
 
 class TestHilbertAndDemo:
