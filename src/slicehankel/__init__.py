@@ -31,6 +31,7 @@ from .series import (
     symmetrize,
 )
 from .hankel import (
+    HankelMatrix,
     HankelOperator,
     QuaternionMatrix,
     apply_H,
@@ -49,6 +50,7 @@ from .hankel import (
     shift_S_adj,
     shift_T,
     shift_T_adj,
+    top_singular_pair,
 )
 from .nehari import (
     ApproximationReport,

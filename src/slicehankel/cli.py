@@ -52,9 +52,11 @@ __all__ = ["ExperimentConfig", "main"]
 # every boundary array, --n the Hilbert matrices and a symbol's depth -n_min
 # its Hankel block.  At the product cap the optimizer peaked at 84 MB RSS
 # (degree 255, grid 2^15) and 376 MB (degree 7, grid 2^20); the reference is
-# degree 6, grid 8192.  maximizing_vector at depth 1024 peaked at 558 MB RSS.
+# degree 6, grid 8192.  Above 128 a Hankel norm needs O(N) memory (FFT
+# Lanczos): maximizing_vector at depth 1024 took 0.06 s and 40 MB peak RSS,
+# and hilbert --n 65536 2.1 s and 145 MB (one BLAS thread).
 MAX_GRID = 2**20
-MAX_HILBERT_N = 2048
+MAX_HILBERT_N = 65536
 MAX_DEGREE = 256
 MAX_DEGREE_GRID = 2**23
 MAX_DEPTH = 1024

@@ -1,6 +1,11 @@
 """Truncated Hankel operators as quaternion matrices, the complex embedding,
-operator norms (dense SVD up to 128 rows or columns, Golub-Kahan-Lanczos with
-θ ≤ σ_max above), the bilinear form and the shift machinery."""
+operator norms and top singular pairs (dense SVD up to 128 rows or columns,
+Golub-Kahan-Lanczos with θ ≤ σ_max above), the bilinear form and the shift
+machinery.
+
+A Hankel matrix keeps only its (2N - 1, 4) antidiagonal: its dense entries
+are a read-only strided view, and above the dense crossover Lanczos applies
+its complex embedding by length-2N FFT correlations in O(N) memory."""
 
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ from .series import SliceLaurentSeries, project_minus, star_mul
 
 __all__ = [
     "QuaternionMatrix",
+    "HankelMatrix",
     "HankelOperator",
     "apply_gamma",
     "build_hankel_matrix",
@@ -25,6 +31,7 @@ __all__ = [
     "embed_vector",
     "deembed_vector",
     "operator_norm",
+    "top_singular_pair",
     "shift_S",
     "shift_S_adj",
     "shift_T",
@@ -81,6 +88,12 @@ class QuaternionMatrix:
         prod = arrays.mul(self.data, vec[None, :, :])
         return prod.sum(axis=1)
 
+    def embedded_operator(self):
+        """(matvec, rmatvec, shape) of the complex embedding, for Lanczos."""
+        a = complex_embed(self)
+        # a^H u without a conjugated copy of a
+        return (lambda v: a @ v), (lambda u: np.conj(a.T @ np.conj(u))), a.shape
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuaternionMatrix):
             return NotImplemented
@@ -88,6 +101,61 @@ class QuaternionMatrix:
 
     def __repr__(self) -> str:
         return f"QuaternionMatrix(shape={self.data.shape[:2]})"
+
+
+class HankelMatrix(QuaternionMatrix):
+    """Square Hankel matrix M[j][k] = antidiagonal[j + k], stored as its
+    (2N - 1, 4) antidiagonal; ``data`` is a zero-copy read-only view of it."""
+
+    __slots__ = ("antidiagonal",)
+
+    def __init__(self, antidiagonal):
+        antidiagonal = np.array(antidiagonal, dtype=float)
+        if antidiagonal.ndim != 2 or antidiagonal.shape[1] != 4 or len(antidiagonal) % 2 == 0:
+            raise ValueError("expected an antidiagonal of shape (2N - 1, 4)")
+        if not np.all(np.isfinite(antidiagonal)):
+            raise ValueError("matrix entries must be finite")
+        antidiagonal.flags.writeable = False
+        n = (len(antidiagonal) + 1) // 2
+        step, comp = antidiagonal.strides
+        self.antidiagonal = antidiagonal
+        self.data = np.lib.stride_tricks.as_strided(
+            antidiagonal, (n, n, 4), (step, step, comp), writeable=False)
+
+    def embedded_operator(self):
+        """(matvec, rmatvec, shape) of the complex embedding by FFT.
+
+        Each block Z w, Z[j][k] = z(j + k), is a correlation: with w reversed
+        it is entries N-1..2N-2 of the convolution z * w, and length-2N FFTs
+        leave those entries unaliased.  The adjoint is the Hankel matrix of
+        the quaternion-conjugated antidiagonal, z1 -> conj z1, z2 -> -z2."""
+        n = self.rows
+        z1, z2 = arrays.to_pairs(self.antidiagonal)
+        f1, f2 = np.fft.fft(z1, 2 * n), np.fft.fft(z2, 2 * n)
+        return (_hankel_product(f1, f2, n),
+                _hankel_product(np.fft.fft(np.conj(z1), 2 * n), -f2, n),
+                (2 * n, 2 * n))
+
+
+def _hankel_product(f1: np.ndarray, f2: np.ndarray, n: int):
+    """x -> E x for the embedding E of the N x N Hankel matrix whose
+    antidiagonal pair z1 + z2 j has length-2N spectra f1, f2.  Per entry the
+    embedding is [[z1, z2], [-conj z2, conj z1]], so with x = (x_e, x_o)
+    interleaved, (E x)_e = Z1 x_e + Z2 x_o and
+    (E x)_o = conj(Z1 conj x_o - Z2 conj x_e)."""
+
+    def product(x: np.ndarray) -> np.ndarray:
+        xe, xo = x[0::2], x[1::2]
+        spec = np.fft.fft(
+            np.stack([xe, xo, np.conj(xo), np.conj(xe)])[:, ::-1], 2 * n)
+        corr = np.fft.ifft(np.stack([f1 * spec[0] + f2 * spec[1],
+                                     f1 * spec[2] - f2 * spec[3]]))
+        out = np.empty(2 * n, dtype=complex)
+        out[0::2] = corr[0, n - 1:2 * n - 1]
+        out[1::2] = np.conj(corr[1, n - 1:2 * n - 1])
+        return out
+
+    return product
 
 
 @dataclass(frozen=True)
@@ -109,12 +177,17 @@ def _components(qs: Sequence[Quaternion]) -> np.ndarray:
     return np.array([q.components() for q in qs], dtype=float).reshape(-1, 4)
 
 
-def _hankel_data(alpha: Sequence[Quaternion], rows: int, cols: int) -> np.ndarray:
-    """(rows, cols, 4) array with entry (j, k) = alpha(j+k), zero past the data."""
-    padded = np.zeros((max(rows + cols - 1, 0), 4))
+def _padded(alpha: Sequence[Quaternion], length: int) -> np.ndarray:
+    """(length, 4) components of alpha(0..length-1), zero past the data."""
+    padded = np.zeros((max(length, 0), 4))
     m = min(len(alpha), len(padded))
     padded[:m] = _components(alpha[:m])
-    return padded[np.add.outer(np.arange(rows), np.arange(cols))]
+    return padded
+
+
+def _hankel_data(alpha: Sequence[Quaternion], rows: int, cols: int) -> np.ndarray:
+    """(rows, cols, 4) array with entry (j, k) = alpha(j+k), zero past the data."""
+    return _padded(alpha, rows + cols - 1)[np.add.outer(np.arange(rows), np.arange(cols))]
 
 
 def apply_gamma(alpha: Sequence[Quaternion], v: Sequence[Quaternion]) -> list[Quaternion]:
@@ -124,11 +197,11 @@ def apply_gamma(alpha: Sequence[Quaternion], v: Sequence[Quaternion]) -> list[Qu
     return [Quaternion(*row) for row in prod]
 
 
-def build_hankel_matrix(alpha: Sequence[Quaternion], N: int) -> QuaternionMatrix:
-    """M[j][k] = alpha(j+k) for 0 <= j, k < N."""
+def build_hankel_matrix(alpha: Sequence[Quaternion], N: int) -> HankelMatrix:
+    """M[j][k] = alpha(j+k) for 0 <= j, k < N, stored as its antidiagonal."""
     if N < 1:
         raise ValueError("truncation size must be >= 1")
-    return QuaternionMatrix(_hankel_data(alpha, N, N))
+    return HankelMatrix(_padded(alpha, 2 * N - 1))
 
 
 def hankel_from_symbol(phi: SliceLaurentSeries, N: int) -> HankelOperator:
@@ -199,13 +272,25 @@ def operator_norm(m: QuaternionMatrix) -> float:
     Up to DENSE_SVD_MAX_SIZE (128) rows or columns this is a dense SVD;
     above, the Golub-Kahan-Lanczos Ritz value θ, within about 1e-12 relative
     of the dense value and never above it (θ ≤ σ_max), so a Hankel norm
-    stays a lower bound on every analytic distance.
+    stays a lower bound on every analytic distance.  Lanczos applies the
+    embedding through ``m.embedded_operator()``: a dense product for a plain
+    matrix, length-2N FFTs in O(N) memory for a HankelMatrix.
     """
     if m.rows == 0 or m.cols == 0:
         return 0.0
     if min(m.rows, m.cols) <= DENSE_SVD_MAX_SIZE:
         return float(np.linalg.svd(complex_embed(m), compute_uv=False)[0])
-    return _lanczos_top_singular_value(complex_embed(m))
+    return top_singular_pair(m)[0]
+
+
+def top_singular_pair(m: QuaternionMatrix) -> tuple[float, np.ndarray]:
+    """Top singular value and a unit top right singular vector of the complex
+    embedding: a full dense SVD up to DENSE_SVD_MAX_SIZE rows or columns, the
+    Lanczos Ritz pair of operator_norm above."""
+    if min(m.rows, m.cols) <= DENSE_SVD_MAX_SIZE:
+        _, sv, vh = np.linalg.svd(complex_embed(m))
+        return float(sv[0]), np.conj(vh[0])
+    return _lanczos_top_singular_value(*m.embedded_operator())
 
 
 def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -215,39 +300,40 @@ def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return w
 
 
-def _lanczos_top_singular_value(a: np.ndarray) -> float:
-    """Top singular value of a complex matrix by Golub-Kahan-Lanczos.
+def _lanczos_top_singular_value(matvec, rmatvec, shape) -> tuple[float, np.ndarray]:
+    """Top singular value and right Ritz vector by Golub-Kahan-Lanczos.
 
-    Bidiagonalizes a V_k = U_k B_k from a fixed-seed start vector with full
-    reorthogonalization, and stops when the Ritz residual β_k |x_k| is at
-    most 1e-12·θ (x the top left singular vector of B_k), on breakdown, or
-    when the Krylov space is exhausted.
+    The operator of the given (rows, cols) shape is known only through
+    matvec (a v) and rmatvec (a^H u).  Bidiagonalizes a V_k = U_k B_k from a
+    fixed-seed start vector with full reorthogonalization, and stops when the
+    Ritz residual β_k |x_k| is at most 1e-12·θ (x the top left singular vector
+    of B_k), on breakdown, or when the Krylov space is exhausted.  Returns θ
+    and V_k y, y the top right singular vector of B_k.
     """
-    m, n = a.shape
+    m, n = shape
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     us, vs = np.empty((0, m), dtype=complex), v[None, :]
     alphas: list[float] = []
     betas: list[float] = []
-    p = a @ v
+    p = matvec(v)
     while True:
         p = _reorthogonalize(p, us)
         alphas.append(float(np.linalg.norm(p)))
         if alphas[-1] > 0.0:
             u = p / alphas[-1]
             us = np.vstack([us, u])
-            # a^H u without a conjugated copy of a
-            r = _reorthogonalize(np.conj(a.T @ np.conj(u)) - alphas[-1] * v, vs)
+            r = _reorthogonalize(rmatvec(u) - alphas[-1] * v, vs)
             beta = float(np.linalg.norm(r))
-        x, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+        x, s, yh = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
         if (alphas[-1] == 0.0 or beta == 0.0 or beta * abs(x[-1, 0]) <= 1e-12 * s[0]
                 or len(alphas) == min(m, n)):
-            return float(s[0])
+            return float(s[0]), np.conj(yh[0]) @ vs
         betas.append(beta)
         v = r / beta
         vs = np.vstack([vs, v])
-        p = a @ v - beta * u
+        p = matvec(v) - beta * u
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ import numpy as np
 
 from . import arrays
 from .hankel import (
-    QuaternionMatrix,
+    HankelMatrix,
     build_hankel_matrix,
-    complex_embed,
     deembed_vector,
     operator_norm,
+    top_singular_pair,
     apply_H,
 )
 from .quat import Quaternion
@@ -74,7 +74,7 @@ def _truncation_guard(phi: SliceLaurentSeries, N: int) -> None:
         raise ValueError(f"truncation {N} below guard {need}")
 
 
-def _hankel_block(phi: SliceLaurentSeries) -> QuaternionMatrix:
+def _hankel_block(phi: SliceLaurentSeries) -> HankelMatrix:
     """The k x k block holding every nonzero entry of H_phi, since entry
     (j, l) = phi_hat(-1-j-l) vanishes once j + l >= -n_min; k = -n_min, or a
     1 x 1 zero block for an analytic symbol."""
@@ -95,15 +95,16 @@ def hankel_norm(phi: SliceLaurentSeries, N: int) -> float:
 def maximizing_vector(phi: SliceLaurentSeries, N: int) -> SliceLaurentSeries:
     """Unit g in the Hardy space with ||H_phi g|| = ||H_phi|| (up to SVD
     tolerance), from the top right singular vector of the embedded k x k
-    block of nonzero entries; N only has to pass the truncation guard.
+    block of nonzero entries (dense SVD up to 128, the Lanczos Ritz vector of
+    hankel_norm above); N only has to pass the truncation guard.
 
     g is defined up to a right unit-quaternion factor; the gauge fixed here
     makes its lowest nonzero coefficient real and positive."""
     _truncation_guard(phi, N)
-    _, sv, vh = np.linalg.svd(complex_embed(_hankel_block(phi)))
-    if sv[0] <= 1e-14:
+    sigma, v = top_singular_pair(_hankel_block(phi))
+    if sigma <= 1e-14:
         raise ValueError("zero operator has no maximizing vector")
-    comps = deembed_vector(np.conj(vh[0]))
+    comps = deembed_vector(v)
     mags = np.sqrt(np.sum(np.square(comps), axis=1))
     keep = mags > 1e-13 * float(np.max(mags))
     g = SliceLaurentSeries(

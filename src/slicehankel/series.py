@@ -426,21 +426,20 @@ def bmo_norm(
     for unit in units:
         vals = cos_part + arrays.mul(np.array(unit.as_quaternion().components()),
                                      sin_part)
-        ext = np.concatenate([vals, vals[:1]], axis=0)
+        # two periods hold every wrapped window start..start + npts
+        wrapped = np.concatenate([vals, vals], axis=0)
         for m in range(n_arcs + 1):
             npts = grid >> m
             if npts < 4:
                 break
             length = npts * dt
             step = max(1, npts // 2)
-            for start in range(0, grid, step):
-                idx = (start + np.arange(npts + 1)) % grid
-                window = ext[idx]
-                mean = np.trapezoid(window, dx=dt, axis=0) / length
-                dev = np.sqrt(np.sum((window - mean) ** 2, axis=1))
-                osc = float(np.trapezoid(dev, dx=dt) / length)
-                if osc > best:
-                    best = osc
+            # every window of the level at once: shape (windows, 4, npts + 1)
+            windows = np.lib.stride_tricks.sliding_window_view(
+                wrapped, npts + 1, axis=0)[:grid:step]
+            mean = np.trapezoid(windows, dx=dt, axis=2) / length
+            dev = np.sqrt(np.sum((windows - mean[:, :, None]) ** 2, axis=1))
+            best = max(best, float(np.max(np.trapezoid(dev, dx=dt, axis=1))) / length)
     return best
 
 

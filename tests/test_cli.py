@@ -109,7 +109,7 @@ class TestConfig:
         (["verify", "--trials", "0", "--grid", "2000000000"], "1048576"),
         (["norm", "--symbol", "missing.txt", "--grid", "2000000000"], "1048576"),
         (["distance", "--symbol", "missing.txt", "--grid", str(2**20 + 1)], "1048576"),
-        (["hilbert", "--n", "2000000000"], "2048"),
+        (["hilbert", "--n", "2000000000"], "65536"),
         (["distance", "--symbol", "missing.txt", "--degree", "2000000000",
           "--budget", "100"], "256"),
         (["distance", "--symbol", "missing.txt", "--degree", "256", "--grid",
@@ -244,6 +244,14 @@ class TestHilbertAndDemo:
         norms = [table[n] for n in sorted(table)]
         assert norms == sorted(norms)
         assert all(v < math.pi for v in norms)
+
+    def test_hilbert_beyond_dense_memory(self, capsys):
+        # N = 4096 runs matrix-free: a dense 8192 x 8192 complex embedding
+        # alone would take 1 GB
+        code, out, err = run(capsys, ["hilbert", "--n", "4096"])
+        assert code == 0 and err == ""
+        table = dict(line.split(",") for line in out.strip().splitlines()[1:])
+        assert float(table["2048"]) < float(table["4096"]) < math.pi
 
     def test_demo(self, capsys):
         code, out, _ = run(capsys, ["demo", *FAST])

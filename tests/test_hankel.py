@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from slicehankel import hankel
 from slicehankel.hankel import (
+    HankelMatrix,
     HankelOperator,
     QuaternionMatrix,
     apply_H,
@@ -32,6 +34,10 @@ ONE = Quaternion(1.0)
 
 def random_matrix(rng, rows, cols):
     return QuaternionMatrix(rng.normal(size=(rows, cols, 4)))
+
+
+def random_alpha(rng, length):
+    return [Quaternion(*rng.normal(size=4)) for _ in range(length)]
 
 
 def random_vec(rng, n):
@@ -210,8 +216,28 @@ class TestOperatorNorm:
         large = random_matrix(rng, hankel.DENSE_SVD_MAX_SIZE + 1, 300)
         assert operator_norm(small) == float(
             np.linalg.svd(complex_embed(small), compute_uv=False)[0])
+        a = complex_embed(large)
         assert operator_norm(large) == hankel._lanczos_top_singular_value(
-            complex_embed(large))
+            lambda v: a @ v, lambda u: np.conj(a.T @ np.conj(u)), a.shape)[0]
+        # a Hankel matrix takes the same branches, with FFT products above
+        for n in (hankel.DENSE_SVD_MAX_SIZE, hankel.DENSE_SVD_MAX_SIZE + 1):
+            m = build_hankel_matrix(random_alpha(rng, 2 * n - 1), n)
+            expected = (
+                float(np.linalg.svd(complex_embed(m), compute_uv=False)[0])
+                if n <= hankel.DENSE_SVD_MAX_SIZE
+                else hankel._lanczos_top_singular_value(*m.embedded_operator())[0]
+            )
+            assert operator_norm(m) == expected
+
+    def test_top_singular_pair(self):
+        rng = np.random.default_rng(45)
+        for n in (hankel.DENSE_SVD_MAX_SIZE, 200):
+            m = build_hankel_matrix(random_alpha(rng, 2 * n - 1), n)
+            sigma, v = hankel.top_singular_pair(m)
+            assert sigma == pytest.approx(operator_norm(m), rel=1e-12)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            vq = deembed_vector(v)
+            assert np.linalg.norm(m.apply(vq)) == pytest.approx(sigma, rel=1e-10)
 
     def test_lanczos_exact_cases_and_determinism(self):
         assert operator_norm(QuaternionMatrix.zeros(300, 300)) == 0.0
@@ -228,6 +254,57 @@ class TestOperatorNorm:
             expected = float(np.max(np.linalg.eigvalsh(real)))
             got = operator_norm(build_hankel_matrix(alpha, size))
             assert abs(got - expected) <= 1e-12 * expected
+
+
+class TestMatrixFree:
+    def test_view_is_the_dense_gather(self):
+        rng = np.random.default_rng(46)
+        for n in (1, 2, 5):
+            for length in (1, n, 2 * n - 1):
+                alpha = random_alpha(rng, length)
+                m = build_hankel_matrix(alpha, n)
+                assert isinstance(m, HankelMatrix)
+                assert m.antidiagonal.shape == (2 * n - 1, 4)
+                assert np.array_equal(m.data, hankel._hankel_data(alpha, n, n))
+                assert not m.data.flags.writeable
+                with pytest.raises(ValueError):
+                    m.data[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="finite"):
+            build_hankel_matrix([Quaternion(math.inf)], 3)
+
+    def test_fft_products_match_embedding(self):
+        rng = np.random.default_rng(47)
+        for n in (129, 200, 257, 300):
+            alpha = random_alpha(rng, 2 * n - 1)
+            m = build_hankel_matrix(alpha, n)
+            assert np.array_equal(m.data, hankel._hankel_data(alpha, n, n))
+            assert not m.data.flags.writeable
+            a = complex_embed(m)
+            matvec, rmatvec, shape = m.embedded_operator()
+            assert shape == a.shape
+            for _ in range(3):
+                x = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+                ref = a @ x
+                assert np.linalg.norm(matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+                ref = a.conj().T @ x
+                assert np.linalg.norm(rmatvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("name", ["hilbert", "random"])
+    def test_norm_memory_is_linear(self, name):
+        # the dense (2N)^2 complex embedding alone would take 268 MB
+        n = 2048
+        if name == "hilbert":
+            alpha = [Quaternion(1.0 / (m + 1)) for m in range(2 * n - 1)]
+        else:
+            alpha = random_alpha(np.random.default_rng(48), 2 * n - 1)
+        tracemalloc.start()
+        try:
+            nrm = operator_norm(build_hankel_matrix(alpha, n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000_000
+        assert 0.0 < nrm and (name == "random" or nrm < math.pi)
 
 
 class TestShifts:

@@ -178,6 +178,40 @@ class TestMaximizingVector:
         with pytest.raises(ValueError):
             maximizing_vector(SliceLaurentSeries({1: ONE}), 16)
 
+    def test_deep_symbol_ritz_vector(self):
+        # depth 300 is above the dense-SVD crossover, so g is the Lanczos
+        # Ritz vector of hankel_norm in the same gauge as the dense branch
+        phi = deep_symbol(np.random.default_rng(57), 300)
+        N = 2 * 300 + 8
+        hn = hankel_norm(phi, N)
+        g = maximizing_vector(phi, N)
+        assert abs(l2_norm(apply_H(phi, g)) - hn) <= 1e-10 * hn
+        assert l2_norm(g) == pytest.approx(1.0, abs=1e-14)
+        # real and positive up to the rounding of lead * conj(lead)
+        lead = g.coefficient(g.n_min)
+        assert lead.w > 0.0 and lead.imag_norm() <= 1e-15 * lead.w
+        _, _, vh = np.linalg.svd(complex_embed(hankel_from_symbol(phi, 300).matrix()))
+        v = deembed_vector(np.conj(vh[0]))
+        mags = np.sqrt(np.sum(np.square(v), axis=1))
+        lead = v[np.argmax(mags > 1e-13 * np.max(mags))]
+        v = arrays.mul(v, lead * np.array([1.0, -1.0, -1.0, -1.0]))
+        v /= np.sqrt(np.sum(np.square(v)))
+        got = np.array([g.coefficient(n).components() for n in range(300)])
+        assert np.max(np.abs(got - v)) <= 1e-8
+
+    def test_deep_symbol_memory(self):
+        # the dense SVD of the 2048 x 2048 complex embedding needed 558 MB
+        # RSS at depth 1024; Lanczos keeps a few dozen vectors of length 2048
+        phi = deep_symbol(np.random.default_rng(58), 1024)
+        tracemalloc.start()
+        try:
+            g = maximizing_vector(phi, 2 * 1024 + 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+        assert l2_norm(g) == pytest.approx(1.0, abs=1e-14)
+
 
 class TestConstructive:
     def test_rank_one_end_to_end(self):

@@ -331,7 +331,49 @@ class TestSupNorms:
         assert linf_norm(f + g, 1024) <= linf_norm(f, 1024) + linf_norm(g, 1024) + 1e-12
 
 
+def bmo_norm_loop(f, n_units=64, n_arcs=8, grid=4096):
+    """The window-by-window bmo_norm that the per-level code replaced."""
+    rng = np.random.default_rng(0)
+    units = [REFERENCE_UNIT] + [sample_sphere(rng) for _ in range(n_units)]
+    dt = 2.0 * np.pi / grid
+    cos_part, sin_part = _cos_sin(_grid_samples(f, grid))
+    best = 0.0
+    for unit in units:
+        vals = cos_part + arrays.mul(np.array(unit.as_quaternion().components()),
+                                     sin_part)
+        ext = np.concatenate([vals, vals[:1]], axis=0)
+        for m in range(n_arcs + 1):
+            npts = grid >> m
+            if npts < 4:
+                break
+            length = npts * dt
+            step = max(1, npts // 2)
+            for start in range(0, grid, step):
+                idx = (start + np.arange(npts + 1)) % grid
+                window = ext[idx]
+                mean = np.trapezoid(window, dx=dt, axis=0) / length
+                dev = np.sqrt(np.sum((window - mean) ** 2, axis=1))
+                osc = float(np.trapezoid(dev, dx=dt) / length)
+                if osc > best:
+                    best = osc
+    return best
+
+
 class TestBmo:
+    @pytest.mark.parametrize("terms, n_units, n_arcs, grid", [
+        (5, 3, 8, 1024),
+        (50, 2, 6, 1000),
+        (50, 0, 12, 4096),
+        (5, 4, 3, 17),
+    ])
+    def test_matches_window_loop(self, terms, n_units, n_arcs, grid):
+        rng = np.random.default_rng(29)
+        f = SliceLaurentSeries(
+            {n: Quaternion(*rng.normal(size=4)) for n in range(-terms // 2, terms - terms // 2)})
+        got = bmo_norm(f, n_units=n_units, n_arcs=n_arcs, grid=grid)
+        ref = bmo_norm_loop(f, n_units=n_units, n_arcs=n_arcs, grid=grid)
+        assert abs(got - ref) <= 1e-14 * ref
+
     def test_constant_has_zero_oscillation(self):
         f = SliceLaurentSeries.constant(Quaternion(2, 1, -1, 3))
         assert bmo_norm(f, n_units=4, n_arcs=4, grid=256) <= 1e-12
