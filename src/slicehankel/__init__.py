@@ -32,7 +32,6 @@ from .series import (
 )
 from .hankel import (
     HankelMatrix,
-    HankelOperator,
     QuaternionMatrix,
     apply_H,
     apply_gamma,

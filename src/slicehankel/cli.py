@@ -25,6 +25,7 @@ from .hankel import (
     commutation_residual,
     complex_embed,
     operator_norm,
+    HankelMatrix,
     QuaternionMatrix,
 )
 from .nehari import (
@@ -54,7 +55,7 @@ __all__ = ["ExperimentConfig", "main"]
 # (degree 255, grid 2^15) and 376 MB (degree 7, grid 2^20); the reference is
 # degree 6, grid 8192.  Above 128 a Hankel norm needs O(N) memory (FFT
 # Lanczos): maximizing_vector at depth 1024 took 0.06 s and 40 MB peak RSS,
-# and hilbert --n 65536 2.1 s and 145 MB (one BLAS thread).
+# and hilbert --n 65536 1.8-2.0 s and 136 MB (one BLAS thread, 2 vCPUs).
 MAX_GRID = 2**20
 MAX_HILBERT_N = 65536
 MAX_DEGREE = 256
@@ -193,8 +194,7 @@ def _verify_rows(config: ExperimentConfig) -> list[tuple]:
 
         alpha3 = [Quaternion(*rng.normal(size=4)) for _ in range(3)]
         rep = verify_nehari_bounds(
-            alpha3, config.truncation_N, config.degree,
-            config.grid, config.budget, seed,
+            alpha3, config.truncation_N, config.degree, config.grid, config.budget,
         )
         slack = 1e-12
         rows.append(("nehari", "sandwich_lower", seed,
@@ -236,8 +236,7 @@ def _load_symbol(path: str) -> SliceLaurentSeries:
 def cmd_distance(config: ExperimentConfig, symbol_path: str) -> int:
     phi = _load_symbol(symbol_path)
     report = approximation_report(
-        phi, config.truncation_N, config.grid,
-        config.degree, config.budget, config.seed,
+        phi, config.truncation_N, config.grid, config.degree, config.budget,
     )
     _emit(report.to_text(), config.output_path)
     if report.optimizer_status == "budget_exhausted":
@@ -267,8 +266,9 @@ def cmd_hilbert(config: ExperimentConfig) -> int:
     lines = ["N,norm"]
     norms = []
     for size in sizes:
-        alpha = [Quaternion(1.0 / (m + 1)) for m in range(2 * size - 1)]
-        norms.append(operator_norm(build_hankel_matrix(alpha, size)))
+        antidiagonal = np.zeros((2 * size - 1, 4))
+        antidiagonal[:, 0] = 1.0 / np.arange(1, 2 * size)
+        norms.append(operator_norm(HankelMatrix(antidiagonal)))
         lines.append(f"{size},{norms[-1]!r}")
     _emit("\n".join(lines) + "\n", config.output_path)
     ok = all(v < math.pi for v in norms) and all(
@@ -285,7 +285,7 @@ def cmd_demo(config: ExperimentConfig) -> int:
     g = maximizing_vector(phi, n)
     cons = constructive_best_approx(phi, n, config.grid)
     opt = optimize_distance(phi, config.degree, config.grid,
-                            min(config.budget, 5000), config.seed)
+                            min(config.budget, 5000))
     lines = [
         "# rank-one worked example",
         "# symbol: single negative coefficient at n = -1 with |c| = 1",

@@ -9,7 +9,6 @@ its complex embedding by length-2N FFT correlations in O(N) memory."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +20,6 @@ from .series import SliceLaurentSeries, project_minus, star_mul
 __all__ = [
     "QuaternionMatrix",
     "HankelMatrix",
-    "HankelOperator",
     "apply_gamma",
     "build_hankel_matrix",
     "hankel_from_symbol",
@@ -54,12 +52,6 @@ class QuaternionMatrix:
         if not np.all(np.isfinite(data)):
             raise ValueError("matrix entries must be finite")
         self.data = data
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[Sequence[Quaternion]]) -> "QuaternionMatrix":
-        return cls(np.array(
-            [[q.components() for q in row] for row in entries], dtype=float
-        ).reshape(len(entries), len(entries[0]), 4))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QuaternionMatrix":
@@ -158,21 +150,6 @@ def _hankel_product(f1: np.ndarray, f2: np.ndarray, n: int):
     return product
 
 
-@dataclass(frozen=True)
-class HankelOperator:
-    """Antidiagonal data alpha(0), alpha(1), ... with a truncation size."""
-
-    alpha: tuple[Quaternion, ...]
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("truncation size must be >= 1")
-
-    def matrix(self) -> QuaternionMatrix:
-        return build_hankel_matrix(self.alpha, self.N)
-
-
 def _components(qs: Sequence[Quaternion]) -> np.ndarray:
     return np.array([q.components() for q in qs], dtype=float).reshape(-1, 4)
 
@@ -204,10 +181,12 @@ def build_hankel_matrix(alpha: Sequence[Quaternion], N: int) -> HankelMatrix:
     return HankelMatrix(_padded(alpha, 2 * N - 1))
 
 
-def hankel_from_symbol(phi: SliceLaurentSeries, N: int) -> HankelOperator:
-    """Antidiagonal data alpha(m) = phi_hat(-1-m), so entry (j,k) = phi_hat(-1-j-k)."""
-    alpha = tuple(phi.coefficient(-1 - m) for m in range(2 * N - 1))
-    return HankelOperator(alpha=alpha, N=N)
+def hankel_from_symbol(phi: SliceLaurentSeries, N: int) -> HankelMatrix:
+    """M[j][k] = phi_hat(-1-j-k) for 0 <= j, k < N, i.e. the Hankel matrix of
+    alpha(m) = phi_hat(-1-m).  Only the coefficients down to the depth -n_min
+    are read; every antidiagonal entry past it is zero."""
+    depth = min(2 * N - 1, -phi.n_min)
+    return build_hankel_matrix([phi.coefficient(-1 - m) for m in range(depth)], N)
 
 
 def apply_H(phi: SliceLaurentSeries, f: SliceLaurentSeries) -> SliceLaurentSeries:

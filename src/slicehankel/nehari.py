@@ -7,9 +7,11 @@ optimizer minimizes the sampled sup norm of phi - f over polynomial f as a
 linear matrix inequality, by a log-det barrier method on a working set of
 grid points grown by Remez-style exchange, and certifies its value by the
 barrier's lower bound.  For finite symbols the two routes and the Hankel norm
-must agree, which is what the verification report checks.
+must agree.  ``approximation_report`` is the one pipeline that runs all three;
+the verification report checks the paper's sandwich on its numbers.
 
-All sampling on the boundary (the FFT grid sampler and the closed-form sphere
+Every Hankel matrix comes from ``hankel.hankel_from_symbol``, and all
+sampling on the boundary (the FFT grid sampler and the closed-form sphere
 sup) lives in ``series``; this module only combines the samples.
 """
 
@@ -25,8 +27,8 @@ import numpy as np
 from . import arrays
 from .hankel import (
     HankelMatrix,
-    build_hankel_matrix,
     deembed_vector,
+    hankel_from_symbol,
     operator_norm,
     top_singular_pair,
     apply_H,
@@ -78,8 +80,7 @@ def _hankel_block(phi: SliceLaurentSeries) -> HankelMatrix:
     """The k x k block holding every nonzero entry of H_phi, since entry
     (j, l) = phi_hat(-1-j-l) vanishes once j + l >= -n_min; k = -n_min, or a
     1 x 1 zero block for an analytic symbol."""
-    k = max(1, -phi.n_min)
-    return build_hankel_matrix([phi.coefficient(-1 - m) for m in range(k)], k)
+    return hankel_from_symbol(phi, max(1, -phi.n_min))
 
 
 def hankel_norm(phi: SliceLaurentSeries, N: int) -> float:
@@ -110,7 +111,12 @@ def maximizing_vector(phi: SliceLaurentSeries, N: int) -> SliceLaurentSeries:
     g = SliceLaurentSeries(
         {k: Quaternion(*comps[k]) for k in range(len(comps)) if keep[k]}
     )
-    g = g.times_right(g.coefficient(g.n_min).conjugate())
+    n0 = g.n_min
+    lead = g.coefficient(n0)
+    g = g.times_right(lead.conjugate())
+    # lead * conj(lead) has norm_sq as its real part to the bit, but its
+    # imaginary part vanishes only up to rounding: store the exact value
+    g.coeffs[n0] = Quaternion(lead.norm_sq())
     return g.times_right(Quaternion(1.0 / l2_norm(g)))
 
 
@@ -339,7 +345,8 @@ def optimize_distance(
     sups for admissible competitors.  ``converged``: the last is within 1e-6
     max(1, sup |phi|) of the bound; ``evaluations`` counts sup-formula
     evaluations (line-search trials and full-grid checks), and at ``budget``
-    the best so far is ``budget_exhausted``.  Deterministic: ``seed`` is unused.
+    the best so far is ``budget_exhausted``.  Deterministic: ``seed`` is
+    unused, and kept only because existing callers pass it.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -453,24 +460,18 @@ class ApproximationReport:
         return "\n".join(lines) + "\n"
 
 
-def _solver_state(cons: ConstructiveResult, opt: OptimizeResult) -> dict:
-    """The report fields that say how far to trust the two distances."""
-    return dict(optimizer_status=opt.status, optimizer_evaluations=opt.evaluations,
-                optimizer_lower_bound=opt.lower_bound, constructive_status=cons.status,
-                excluded_fraction=cons.excluded_fraction)
-
-
 def approximation_report(
     phi: SliceLaurentSeries,
     N: int,
     grid: int,
     degree: int,
     budget: int,
-    seed: int = 0,
 ) -> ApproximationReport:
+    """The distance pipeline: hankel_norm, then constructive_best_approx,
+    then optimize_distance, with the better competitor as ``best_approx``."""
     hn = hankel_norm(phi, N)
     cons = constructive_best_approx(phi, N, grid)
-    opt = optimize_distance(phi, degree, grid, budget, seed)
+    opt = optimize_distance(phi, degree, grid, budget)
     best = cons.best_approx if cons.distance <= opt.distance else opt.best_approx
     return ApproximationReport(
         hankel_norm=hn,
@@ -480,25 +481,22 @@ def approximation_report(
         residual_negative_mass=cons.residual_negative_mass,
         truncation_N=N,
         grid=grid,
-        **_solver_state(cons, opt),
+        optimizer_status=opt.status,
+        optimizer_evaluations=opt.evaluations,
+        optimizer_lower_bound=opt.lower_bound,
+        constructive_status=cons.status,
+        excluded_fraction=cons.excluded_fraction,
     )
 
 
 @dataclass
 class NehariReport:
     gamma_norm: float
-    hankel_norm: float
-    constructive_distance: float
-    optimized_distance: float
     distance: float
     sandwich_ok: bool
     equality_ok: bool
     tol: float
-    optimizer_status: str
-    optimizer_evaluations: int
-    optimizer_lower_bound: float
-    constructive_status: str
-    excluded_fraction: float
+    report: ApproximationReport
 
     @property
     def passed(self) -> bool:
@@ -511,34 +509,30 @@ def verify_nehari_bounds(
     degree: int,
     grid: int,
     budget: int,
-    seed: int = 0,
     tol: float = 2e-2,
 ) -> NehariReport:
-    """Check d <= ||Gamma_alpha|| <= 2d for the associated symbol, with
-    d = min(constructive, optimized) distance, and record whether the
-    stronger norm-equals-distance identity holds within tolerance."""
-    # the min(N, len(alpha)) block holds every nonzero entry of the N-truncation
-    gamma = operator_norm(build_hankel_matrix(alpha, max(1, min(N, len(alpha)))))
+    """Check d <= ||Gamma_alpha|| <= 2d for the symbol phi with
+    phi_hat(-1-m) = alpha(m) and d = min(constructive, optimized) distance,
+    and record whether the stronger norm-equals-distance identity holds
+    within tolerance.  The numbers come from one ``approximation_report`` of
+    phi, kept as ``report``; ||Gamma_alpha|| is its ``hankel_norm``, since
+    the N-truncation is the k x k block of nonzero entries padded with zeros."""
     phi = SliceLaurentSeries(
         {-1 - m: a for m, a in enumerate(alpha) if a.norm_sq() != 0.0}
     )
-    hn = hankel_norm(phi, N)
-    cons = constructive_best_approx(phi, N, grid)
-    opt = optimize_distance(phi, degree, grid, budget, seed)
-    d = min(cons.distance, opt.distance)
+    report = approximation_report(phi, N, grid, degree, budget)
+    gamma = report.hankel_norm
+    d = min(report.constructive_distance, report.optimized_distance)
     slack = 1e-12
     sandwich_ok = (
         d * (1.0 - tol) <= gamma + slack and gamma <= 2.0 * d * (1.0 + tol) + slack
     )
-    equality_ok = abs(hn - d) <= tol * max(d, slack)
+    equality_ok = abs(gamma - d) <= tol * max(d, slack)
     return NehariReport(
         gamma_norm=gamma,
-        hankel_norm=hn,
-        constructive_distance=cons.distance,
-        optimized_distance=opt.distance,
         distance=d,
         sandwich_ok=sandwich_ok,
         equality_ok=equality_ok,
         tol=tol,
-        **_solver_state(cons, opt),
+        report=report,
     )

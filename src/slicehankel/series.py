@@ -73,10 +73,6 @@ class SliceLaurentSeries:
         return cls()
 
     @classmethod
-    def monomial(cls, n: int, coeff: Quaternion) -> "SliceLaurentSeries":
-        return cls({n: coeff})
-
-    @classmethod
     def constant(cls, coeff: Quaternion) -> "SliceLaurentSeries":
         return cls({0: coeff})
 
@@ -93,11 +89,6 @@ class SliceLaurentSeries:
     def n_min(self) -> int:
         s = self.support
         return s[0] if s else 0
-
-    @property
-    def n_max(self) -> int:
-        s = self.support
-        return s[-1] if s else 0
 
     def is_zero(self) -> bool:
         return not self.support

@@ -27,6 +27,7 @@ CASES = {
     "verify": ["verify", "--trials", "3", "--seed", "0"],
     "demo": ["demo"],
     "hilbert": ["hilbert", "--n", "128"],
+    "hilbert_lanczos": ["hilbert", "--n", "1024"],
     "norm_depth3": ["norm", "--symbol", "depth3.txt"],
     "distance_depth3": ["distance", "--symbol", "depth3.txt"],
     "norm_rank_one": ["norm", "--symbol", "rank_one.txt"],

@@ -7,7 +7,6 @@ import pytest
 from slicehankel import hankel
 from slicehankel.hankel import (
     HankelMatrix,
-    HankelOperator,
     QuaternionMatrix,
     apply_H,
     apply_gamma,
@@ -59,13 +58,26 @@ class TestHankelMatrix:
 
     def test_from_symbol_indexing(self):
         phi = SliceLaurentSeries({-1: Quaternion(1), -3: Quaternion(3), 2: Quaternion(9)})
-        op = hankel_from_symbol(phi, 4)
-        m = op.matrix()
+        m = hankel_from_symbol(phi, 4)
         # entry (j,k) = phi_hat(-1-j-k); positive coefficients never appear
         assert m.entry(0, 0) == Quaternion(1)
         assert m.entry(1, 1) == Quaternion(3)
         assert m.entry(0, 2) == Quaternion(3)
         assert m.entry(3, 3) == Quaternion()
+
+    def test_from_symbol_matches_entries(self):
+        rng = np.random.default_rng(35)
+        depth = 9
+        phi = SliceLaurentSeries({
+            n: Quaternion(*rng.normal(size=4)) for n in range(-depth, 4)
+        })
+        # N = 4 reads only 2N - 1 = 7 of the 9 negative coefficients
+        for N in (1, 2, depth // 2, depth, 2 * depth + 8):
+            m = hankel_from_symbol(phi, N)
+            for j in range(N):
+                for k in range(N):
+                    expected = phi.coefficient(-1 - j - k).components()
+                    assert tuple(m.data[j, k]) == expected
 
     def test_apply_gamma_matches_matrix(self):
         rng = np.random.default_rng(31)
@@ -92,7 +104,7 @@ class TestHankelMatrix:
             k: Quaternion(*rng.normal(size=4)) for k in range(n_trunc)
         })
         res = apply_H(phi, f)
-        m = hankel_from_symbol(phi, n_trunc).matrix()
+        m = hankel_from_symbol(phi, n_trunc)
         vec = np.array([f.coefficient(k).components() for k in range(n_trunc)])
         out = m.apply(vec)
         for j in range(n_trunc):
@@ -122,7 +134,7 @@ class TestHankelMatrix:
 
     def test_truncation_size_must_be_positive(self):
         with pytest.raises(ValueError):
-            HankelOperator(alpha=(ONE,), N=0)
+            hankel_from_symbol(SliceLaurentSeries({-1: ONE}), 0)
 
 
 class TestComplexEmbedding:
@@ -201,7 +213,7 @@ class TestOperatorNorm:
         # antidiagonals, and an outer product has quaternion rank one
         for _ in range(5):
             coeffs = {-1 - m: Quaternion(*rng.normal(size=4)) for m in range(64)}
-            cases.append(hankel_from_symbol(SliceLaurentSeries(coeffs), 256).matrix())
+            cases.append(hankel_from_symbol(SliceLaurentSeries(coeffs), 256))
         cases.append(random_matrix(rng, 300, 1).matmul(random_matrix(rng, 1, 200)))
         for m in cases:
             dense = float(np.linalg.svd(complex_embed(m), compute_uv=False)[0])
