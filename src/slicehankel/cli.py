@@ -21,7 +21,6 @@ import numpy as np
 
 from .hankel import (
     apply_H,
-    build_hankel_matrix,
     commutation_residual,
     complex_embed,
     operator_norm,
@@ -30,10 +29,8 @@ from .hankel import (
 )
 from .nehari import (
     approximation_report,
-    constructive_best_approx,
     hankel_norm,
     maximizing_vector,
-    optimize_distance,
     verify_nehari_bounds,
 )
 from .quat import Quaternion
@@ -167,8 +164,14 @@ def _verify_rows(config: ExperimentConfig) -> list[tuple]:
              abs(lf - lfc) / max(lf, 1e-300), 1e-9)
         )
 
+        # column k holds coefficients -1..-16 of H_phi z^k for the symbol of
+        # alpha, so the residual checks P_- S H_phi = H_phi T on the action
         alpha = [Quaternion(*rng.normal(size=4)) for _ in range(5)]
-        mat = build_hankel_matrix(alpha, 16)
+        phi_alpha = SliceLaurentSeries({-1 - m: a for m, a in enumerate(alpha)})
+        columns = [apply_H(phi_alpha, SliceLaurentSeries({k: Quaternion(1.0)}))
+                   for k in range(16)]
+        mat = QuaternionMatrix([[h.coefficient(-1 - j).components() for h in columns]
+                                for j in range(16)])
         rows.append(("hankel", "commutation_residual", seed,
                      commutation_residual(mat), 1e-14))
 
@@ -196,18 +199,13 @@ def _verify_rows(config: ExperimentConfig) -> list[tuple]:
         rep = verify_nehari_bounds(
             alpha3, config.truncation_N, config.degree, config.grid, config.budget,
         )
-        slack = 1e-12
-        rows.append(("nehari", "sandwich_lower", seed,
-                     rep.distance * (1.0 - rep.tol), rep.gamma_norm + slack))
-        rows.append(("nehari", "sandwich_upper", seed, rep.gamma_norm,
-                     2.0 * rep.distance * (1.0 + rep.tol) + slack))
+        rows += [("nehari", check, seed, measured, bound)
+                 for check, measured, bound in rep.sandwich()]
     return rows
 
 
-def cmd_verify(config: ExperimentConfig, debug_corrupt: bool) -> int:
+def cmd_verify(config: ExperimentConfig) -> int:
     rows = _verify_rows(config)
-    if debug_corrupt:
-        rows.append(("selftest", "forced_failure", config.seed, 1.0, 0.0))
     lines = ["suite,check,seed,measured,bound,pass"]
     all_ok = True
     for suite, check, seed, measured, bound in rows:
@@ -281,11 +279,9 @@ def cmd_demo(config: ExperimentConfig) -> int:
     c = Quaternion(0.6, 0.0, 0.8, 0.0)
     phi = SliceLaurentSeries({-1: c})
     n = max(16, config.truncation_N)
-    hn = hankel_norm(phi, n)
+    rep = approximation_report(phi, n, config.grid, config.degree,
+                               min(config.budget, 5000))
     g = maximizing_vector(phi, n)
-    cons = constructive_best_approx(phi, n, config.grid)
-    opt = optimize_distance(phi, config.degree, config.grid,
-                            min(config.budget, 5000))
     lines = [
         "# rank-one worked example",
         "# symbol: single negative coefficient at n = -1 with |c| = 1",
@@ -294,19 +290,20 @@ def cmd_demo(config: ExperimentConfig) -> int:
     lines += ["  " + ln for ln in dumps_series(phi).splitlines()]
     lines += [
         "# the Hankel matrix has a single nonzero entry, so its norm is |c|",
-        f"hankel_norm: {hn!r}",
+        f"hankel_norm: {rep.hankel_norm!r}",
         "# the maximizing vector is the constant 1 up to a right unit factor",
         "maximizing_vector:",
     ]
     lines += ["  " + ln for ln in dumps_series(g).splitlines()]
     lines += [
         "# best analytic approximation is 0; the distance equals |c|",
-        f"constructive_distance: {cons.distance!r}",
-        f"optimized_distance: {opt.distance!r}",
-        f"residual_negative_mass: {cons.residual_negative_mass!r}",
+        f"constructive_distance: {rep.constructive_distance!r}",
+        f"optimized_distance: {rep.optimized_distance!r}",
+        f"residual_negative_mass: {rep.residual_negative_mass!r}",
     ]
     _emit("\n".join(lines) + "\n", config.output_path)
-    ok = abs(hn - 1.0) <= 1e-10 and abs(cons.distance - 1.0) <= 1e-6
+    ok = (abs(rep.hankel_norm - 1.0) <= 1e-10
+          and abs(rep.constructive_distance - 1.0) <= 1e-6)
     return 0 if ok else 1
 
 
@@ -332,10 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quaternionic Hankel-operator experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("verify", parents=[shared],
-                       help="run the property suites over random instances")
-    p.add_argument("--debug-corrupt", action="store_true",
-                   help="append a deliberately failing row (self-test)")
+    sub.add_parser("verify", parents=[shared],
+                   help="run the property suites over random instances")
     p = sub.add_parser("distance", parents=[shared],
                        help="approximation report for a stored symbol")
     p.add_argument("--symbol", required=True)
@@ -370,7 +365,7 @@ def main(argv=None) -> int:
     try:
         config = _resolve_config(args)
         if args.command == "verify":
-            return cmd_verify(config, args.debug_corrupt)
+            return cmd_verify(config)
         if args.command == "distance":
             return cmd_distance(config, args.symbol)
         if args.command == "norm":

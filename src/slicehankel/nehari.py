@@ -7,8 +7,8 @@ optimizer minimizes the sampled sup norm of phi - f over polynomial f as a
 linear matrix inequality, by a log-det barrier method on a working set of
 grid points grown by Remez-style exchange, and certifies its value by the
 barrier's lower bound.  For finite symbols the two routes and the Hankel norm
-must agree.  ``approximation_report`` is the one pipeline that runs all three;
-the verification report checks the paper's sandwich on its numbers.
+must agree.  ``approximation_report`` is the one pipeline that runs all three,
+and its report checks the paper's sandwich on its numbers.
 
 Every Hankel matrix comes from ``hankel.hankel_from_symbol``, and all
 sampling on the boundary (the FFT grid sampler and the closed-form sphere
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +60,6 @@ __all__ = [
     "optimize_distance",
     "ApproximationReport",
     "approximation_report",
-    "NehariReport",
     "verify_nehari_bounds",
 ]
 
@@ -209,10 +208,10 @@ def _series_from_spectrum(fa, fb, freqs, cutoff: int) -> SliceLaurentSeries:
 class OptimizeResult:
     best_approx: SliceLaurentSeries
     distance: float
-    iterates: list[float] = field(default_factory=list)
-    evaluations: int = 0
-    status: str = "converged"
-    lower_bound: float = -math.inf
+    iterates: list[float]
+    evaluations: int
+    status: str
+    lower_bound: float
 
 
 # Moving real coordinate c = (w, x, y, z) of coefficient n of f by one moves
@@ -418,10 +417,11 @@ def optimize_distance(
 
 @dataclass
 class ApproximationReport:
+    """The numbers of one distance pipeline run, declared in print order."""
+
     hankel_norm: float
     constructive_distance: float
     optimized_distance: float
-    best_approx: SliceLaurentSeries
     residual_negative_mass: float
     truncation_N: int
     grid: int
@@ -430,33 +430,38 @@ class ApproximationReport:
     optimizer_lower_bound: float
     constructive_status: str
     excluded_fraction: float
+    best_approx: SliceLaurentSeries
+
+    @property
+    def distance(self) -> float:
+        """The better of the two analytic competitors' distances."""
+        return min(self.constructive_distance, self.optimized_distance)
 
     def check(self, tol: float = 1e-6) -> bool:
         """The always-true direction: the Hankel norm never exceeds the
         distance realized by any analytic competitor."""
-        scale = max(1.0, self.hankel_norm)
-        return (
-            self.hankel_norm <= self.constructive_distance + tol * scale
-            and self.hankel_norm <= self.optimized_distance + tol * scale
-        )
+        return self.hankel_norm <= self.distance + tol * max(1.0, self.hankel_norm)
+
+    def sandwich(self, tol: float = 2e-2) -> list[tuple[str, float, float]]:
+        """The paper's sandwich d <= ||Gamma|| <= 2d, d = ``distance`` and
+        ||Gamma|| = ``hankel_norm``, as (check, measured, bound) rows that
+        pass when measured <= bound: relative tolerance tol, slack 1e-12."""
+        d, gamma, slack = self.distance, self.hankel_norm, 1e-12
+        return [("sandwich_lower", d * (1.0 - tol), gamma + slack),
+                ("sandwich_upper", gamma, 2.0 * d * (1.0 + tol) + slack)]
 
     def to_text(self) -> str:
-        lines = [
-            f"hankel_norm: {self.hankel_norm!r}",
-            f"constructive_distance: {self.constructive_distance!r}",
-            f"optimized_distance: {self.optimized_distance!r}",
-            f"residual_negative_mass: {self.residual_negative_mass!r}",
-            f"truncation_N: {self.truncation_N}",
-            f"grid: {self.grid}",
-            f"optimizer_status: {self.optimizer_status}",
-            f"optimizer_evaluations: {self.optimizer_evaluations}",
-            f"optimizer_lower_bound: {self.optimizer_lower_bound!r}",
-            f"constructive_status: {self.constructive_status}",
-            f"excluded_fraction: {self.excluded_fraction!r}",
-            "best_approx:",
-        ]
-        for line in dumps_series(self.best_approx).splitlines():
-            lines.append("  " + line)
+        """One ``name: value`` line per field in field order: repr for
+        numbers, plain text for strings, an indented block for a series."""
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, SliceLaurentSeries):
+                lines.append(f"{f.name}:")
+                lines += ["  " + line for line in dumps_series(value).splitlines()]
+            else:
+                text = value if isinstance(value, str) else repr(value)
+                lines.append(f"{f.name}: {text}")
         return "\n".join(lines) + "\n"
 
 
@@ -477,7 +482,6 @@ def approximation_report(
         hankel_norm=hn,
         constructive_distance=cons.distance,
         optimized_distance=opt.distance,
-        best_approx=best,
         residual_negative_mass=cons.residual_negative_mass,
         truncation_N=N,
         grid=grid,
@@ -486,21 +490,8 @@ def approximation_report(
         optimizer_lower_bound=opt.lower_bound,
         constructive_status=cons.status,
         excluded_fraction=cons.excluded_fraction,
+        best_approx=best,
     )
-
-
-@dataclass
-class NehariReport:
-    gamma_norm: float
-    distance: float
-    sandwich_ok: bool
-    equality_ok: bool
-    tol: float
-    report: ApproximationReport
-
-    @property
-    def passed(self) -> bool:
-        return self.sandwich_ok
 
 
 def verify_nehari_bounds(
@@ -509,30 +500,13 @@ def verify_nehari_bounds(
     degree: int,
     grid: int,
     budget: int,
-    tol: float = 2e-2,
-) -> NehariReport:
-    """Check d <= ||Gamma_alpha|| <= 2d for the symbol phi with
-    phi_hat(-1-m) = alpha(m) and d = min(constructive, optimized) distance,
-    and record whether the stronger norm-equals-distance identity holds
-    within tolerance.  The numbers come from one ``approximation_report`` of
-    phi, kept as ``report``; ||Gamma_alpha|| is its ``hankel_norm``, since
-    the N-truncation is the k x k block of nonzero entries padded with zeros."""
+) -> ApproximationReport:
+    """The ``approximation_report`` of the symbol phi with
+    phi_hat(-1-m) = alpha(m), whose ``sandwich`` checks
+    d <= ||Gamma_alpha|| <= 2d.  ||Gamma_alpha|| is its ``hankel_norm``,
+    since the N-truncation is the k x k block of nonzero entries padded with
+    zeros."""
     phi = SliceLaurentSeries(
         {-1 - m: a for m, a in enumerate(alpha) if a.norm_sq() != 0.0}
     )
-    report = approximation_report(phi, N, grid, degree, budget)
-    gamma = report.hankel_norm
-    d = min(report.constructive_distance, report.optimized_distance)
-    slack = 1e-12
-    sandwich_ok = (
-        d * (1.0 - tol) <= gamma + slack and gamma <= 2.0 * d * (1.0 + tol) + slack
-    )
-    equality_ok = abs(gamma - d) <= tol * max(d, slack)
-    return NehariReport(
-        gamma_norm=gamma,
-        distance=d,
-        sandwich_ok=sandwich_ok,
-        equality_ok=equality_ok,
-        tol=tol,
-        report=report,
-    )
+    return approximation_report(phi, N, grid, degree, budget)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "REFERENCE_UNIT",
     "Quaternion",
     "ImaginaryUnit",
     "BoundaryPoint",

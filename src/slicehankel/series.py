@@ -25,6 +25,7 @@ from .quat import (
     BoundaryPoint,
     ImaginaryUnit,
     Quaternion,
+    sample_sphere,
 )
 
 __all__ = [
@@ -407,8 +408,6 @@ def bmo_norm(
     """
     if n_units < 0 or n_arcs < 0 or grid < 16:
         raise ValueError("sampling parameters must be positive")
-    from .quat import sample_sphere
-
     rng = np.random.default_rng(0)
     units = [REFERENCE_UNIT] + [sample_sphere(rng) for _ in range(n_units)]
     dt = 2.0 * np.pi / grid

@@ -36,13 +36,24 @@ class TestVerify:
         assert code == 0
         assert out.strip() == "suite,check,seed,measured,bound,pass"
 
-    def test_debug_corrupt_fails(self, capsys):
-        code, out, _ = run(
-            capsys, ["verify", "--trials", "0", "--debug-corrupt", *FAST]
-        )
+    def test_debug_corrupt_fails(self, capsys, monkeypatch):
+        rows = cli._verify_rows
+        monkeypatch.setattr(cli, "_verify_rows", lambda config: [
+            *rows(config), ("selftest", "forced_failure", config.seed, 1.0, 0.0)])
+        code, out, _ = run(capsys, ["verify", "--trials", "0", *FAST])
         assert code == 1
         assert "forced_failure" in out
         assert out.strip().splitlines()[-1].endswith(",fail")
+
+    def test_commutation_row_fails_on_non_hankel_action(self, capsys, monkeypatch):
+        # H_phi z^k -> H_phi z^(2k) has the matrix alpha(j + 2k), not Hankel
+        apply_H = cli.apply_H
+        monkeypatch.setattr(cli, "apply_H",
+                            lambda phi, f: apply_H(phi, f.shifted(f.n_min)))
+        code, out, _ = run(capsys, ["verify", "--trials", "1", *FAST])
+        assert code == 1
+        rows = [line for line in out.splitlines() if ",commutation_residual," in line]
+        assert len(rows) == 1 and rows[0].endswith(",fail")
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -121,7 +132,8 @@ class TestConfig:
             raise AssertionError("size cap checked too late")
 
         monkeypatch.setattr(cli, "load_series", unreachable)
-        monkeypatch.setattr(cli, "build_hankel_matrix", unreachable)
+        monkeypatch.setattr(cli, "HankelMatrix", unreachable)
+        monkeypatch.setattr(cli, "operator_norm", unreachable)
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
@@ -282,3 +294,13 @@ class TestHilbertAndDemo:
         out = tmp_path / "table.csv"
         assert main(["hilbert", "--n", "4", "--out", str(out)]) == 0
         assert out.read_text().startswith("N,norm")
+
+
+def test_package_exports_every_module_name():
+    import slicehankel
+    from slicehankel import hankel, nehari, quat, series
+
+    for module in (quat, series, hankel, nehari):
+        for name in module.__all__:
+            assert name in slicehankel.__all__
+            assert getattr(slicehankel, name) is getattr(module, name)
