@@ -50,9 +50,9 @@ __all__ = ["ExperimentConfig", "main"]
 # every boundary array, --n the Hilbert matrices and a symbol's depth -n_min
 # its Hankel block.  At the product cap the optimizer peaked at 84 MB RSS
 # (degree 255, grid 2^15) and 376 MB (degree 7, grid 2^20); the reference is
-# degree 6, grid 8192.  Above 128 a Hankel norm needs O(N) memory (FFT
+# degree 6, grid 8192.  Above 96 a Hankel norm needs O(N) memory (FFT
 # Lanczos): maximizing_vector at depth 1024 took 0.06 s and 40 MB peak RSS,
-# and hilbert --n 65536 1.8-2.0 s and 136 MB (one BLAS thread, 2 vCPUs).
+# and hilbert --n 65536 1.1-1.3 s and 124 MB (one BLAS thread, 2 vCPUs).
 MAX_GRID = 2**20
 MAX_HILBERT_N = 65536
 MAX_DEGREE = 256

@@ -1,6 +1,6 @@
 """Truncated Hankel operators as quaternion matrices, the complex embedding,
-operator norms and top singular pairs (dense SVD up to 128 rows or columns,
-Golub-Kahan-Lanczos with θ ≤ σ_max above), the bilinear form and the shift
+operator norms and top singular pairs (dense SVD up to 96 rows or columns,
+Golub-Kahan-Lanczos above), the bilinear form and the shift
 machinery.
 
 A Hankel matrix keeps only its (2N - 1, 4) antidiagonal: its dense entries
@@ -35,8 +35,6 @@ __all__ = [
     "shift_T",
     "shift_T_adj",
     "commutation_residual",
-    "dump_matrix",
-    "load_matrix",
 ]
 
 
@@ -238,9 +236,17 @@ def deembed_vector(u: np.ndarray) -> np.ndarray:
     return arrays.from_pairs(u[0::2], -np.conj(u[1::2]))
 
 
-# up to this many rows or columns a dense SVD beats Lanczos (measured on
-# random quaternion Hankel and dense matrices with one BLAS thread)
-DENSE_SVD_MAX_SIZE = 128
+# up to this many rows or columns a dense values-only SVD keeps up with
+# value-only Lanczos on a flat spectrum, Lanczos's slowest case (random
+# Hankel blocks; median ms of 8 seeds, one BLAS thread, 2 vCPUs):
+#     N         80    88    96   104   112   128
+#     dense    5.1   7.2   8.8   9.8  12.2  16.8
+#     Lanczos  5.7   7.1   7.6   8.8   8.5   7.7
+# The tie falls at 88-96 as the host's speed drifts; at 96, the upper end,
+# every size that ran dense before still does.  Decaying spectra cross
+# earlier (Hilbert at N = 128: 16.5 ms dense, 1.8 ms Lanczos), and a dense
+# pair SVD costs about twice the values-only one.
+DENSE_SVD_MAX_SIZE = 96
 
 
 def operator_norm(m: QuaternionMatrix) -> float:
@@ -248,24 +254,27 @@ def operator_norm(m: QuaternionMatrix) -> float:
 
     Computed as the top singular value of the complex embedding; the embedding
     is a norm-preserving bijection on column vectors, so the two sups agree.
-    Up to DENSE_SVD_MAX_SIZE (128) rows or columns this is a dense SVD;
-    above, the Golub-Kahan-Lanczos Ritz value θ, within about 1e-12 relative
-    of the dense value and never above it (θ ≤ σ_max), so a Hankel norm
-    stays a lower bound on every analytic distance.  Lanczos applies the
-    embedding through ``m.embedded_operator()``: a dense product for a plain
-    matrix, length-2N FFTs in O(N) memory for a HankelMatrix.
+    Up to DENSE_SVD_MAX_SIZE (96) rows or columns this is a dense SVD;
+    above, the Golub-Kahan-Lanczos Ritz value θ with the value-only stop,
+    within about 1e-12 relative of the dense value, except that a top pair of
+    singular values closer than about 1e-8 relative may stay unsplit, leaving
+    θ short by up to their distance.  θ ≤ σ_max in exact arithmetic, so a
+    Hankel norm stays a lower bound on every analytic distance; in floating
+    point θ can land an ulp or so above the dense value.  Lanczos applies the embedding through ``m.embedded_operator()``:
+    a dense product for a plain matrix, length-2N FFTs in O(N) memory for a
+    HankelMatrix.
     """
     if m.rows == 0 or m.cols == 0:
         return 0.0
     if min(m.rows, m.cols) <= DENSE_SVD_MAX_SIZE:
         return float(np.linalg.svd(complex_embed(m), compute_uv=False)[0])
-    return top_singular_pair(m)[0]
+    return _lanczos_top_singular_value(*m.embedded_operator(), value_only=True)[0]
 
 
 def top_singular_pair(m: QuaternionMatrix) -> tuple[float, np.ndarray]:
     """Top singular value and a unit top right singular vector of the complex
     embedding: a full dense SVD up to DENSE_SVD_MAX_SIZE rows or columns, the
-    Lanczos Ritz pair of operator_norm above."""
+    Lanczos Ritz pair above."""
     if min(m.rows, m.cols) <= DENSE_SVD_MAX_SIZE:
         _, sv, vh = np.linalg.svd(complex_embed(m))
         return float(sv[0]), np.conj(vh[0])
@@ -279,15 +288,20 @@ def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return w
 
 
-def _lanczos_top_singular_value(matvec, rmatvec, shape) -> tuple[float, np.ndarray]:
+def _lanczos_top_singular_value(matvec, rmatvec, shape,
+                                value_only: bool = False) -> tuple[float, np.ndarray]:
     """Top singular value and right Ritz vector by Golub-Kahan-Lanczos.
 
     The operator of the given (rows, cols) shape is known only through
     matvec (a v) and rmatvec (a^H u).  Bidiagonalizes a V_k = U_k B_k from a
-    fixed-seed start vector with full reorthogonalization, and stops when the
-    Ritz residual β_k |x_k| is at most 1e-12·θ (x the top left singular vector
-    of B_k), on breakdown, or when the Krylov space is exhausted.  Returns θ
-    and V_k y, y the top right singular vector of B_k.
+    fixed-seed start vector with full reorthogonalization, and stops on
+    breakdown, when the Krylov space is exhausted, or when the Ritz residual
+    ρ = β_k |x_k| (x the top left singular vector of B_k) is at most 1e-12·θ,
+    which the vector needs.  The error of θ itself is about ρ² / (θ - θ₂),
+    θ₂ the second Ritz value (0 at k = 1), so with value_only it also stops
+    once ρ² ≤ 1e-16·θ·(θ - θ₂).  As θ - θ₂ ≤ θ, that implies ρ ≤ 1e-8·θ, so
+    an unresolved θ₂, which overstates the gap, cannot end the run earlier.
+    Returns θ and V_k y, y the top right singular vector of B_k.
     """
     m, n = shape
     rng = np.random.default_rng(0)
@@ -306,8 +320,11 @@ def _lanczos_top_singular_value(matvec, rmatvec, shape) -> tuple[float, np.ndarr
             r = _reorthogonalize(rmatvec(u) - alphas[-1] * v, vs)
             beta = float(np.linalg.norm(r))
         x, s, yh = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
-        if (alphas[-1] == 0.0 or beta == 0.0 or beta * abs(x[-1, 0]) <= 1e-12 * s[0]
-                or len(alphas) == min(m, n)):
+        if alphas[-1] == 0.0 or beta == 0.0 or len(alphas) == min(m, n):
+            return float(s[0]), np.conj(yh[0]) @ vs
+        rho = beta * abs(x[-1, 0])
+        gap = s[0] - s[1] if len(s) > 1 else s[0]
+        if rho <= 1e-12 * s[0] or (value_only and rho * rho <= 1e-16 * s[0] * gap):
             return float(s[0]), np.conj(yh[0]) @ vs
         betas.append(beta)
         v = r / beta
@@ -357,36 +374,3 @@ def commutation_residual(r: QuaternionMatrix) -> float:
         return 0.0
     diff = r.data[1:, :-1] - r.data[:-1, 1:]
     return float(np.sqrt(np.sum(np.square(diff))))
-
-
-# ---------------------------------------------------------------------------
-# matrix dump format
-# ---------------------------------------------------------------------------
-
-
-def dump_matrix(m: QuaternionMatrix) -> str:
-    lines = [f"matrix {m.rows} {m.cols}"]
-    for j in range(m.rows):
-        parts = []
-        for k in range(m.cols):
-            w, x, y, z = (float(v) for v in m.data[j, k])
-            parts.append(f"{w!r} {x!r} {y!r} {z!r}")
-        lines.append("  ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def load_matrix(text: str) -> QuaternionMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("matrix"):
-        raise ValueError("missing matrix header")
-    _, rows_s, cols_s = lines[0].split()
-    rows, cols = int(rows_s), int(cols_s)
-    if len(lines) != rows + 1:
-        raise ValueError(f"expected {rows} data rows, found {len(lines) - 1}")
-    data = np.zeros((rows, cols, 4))
-    for j in range(rows):
-        vals = [float(p) for p in lines[j + 1].split()]
-        if len(vals) != 4 * cols:
-            raise ValueError(f"row {j}: expected {4 * cols} floats, found {len(vals)}")
-        data[j] = np.array(vals).reshape(cols, 4)
-    return QuaternionMatrix(data)

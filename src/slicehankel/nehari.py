@@ -95,8 +95,8 @@ def hankel_norm(phi: SliceLaurentSeries, N: int) -> float:
 def maximizing_vector(phi: SliceLaurentSeries, N: int) -> SliceLaurentSeries:
     """Unit g in the Hardy space with ||H_phi g|| = ||H_phi|| (up to SVD
     tolerance), from the top right singular vector of the embedded k x k
-    block of nonzero entries (dense SVD up to 128, the Lanczos Ritz vector of
-    hankel_norm above); N only has to pass the truncation guard.
+    block of nonzero entries (dense SVD up to 96, the Lanczos Ritz vector
+    above); N only has to pass the truncation guard.
 
     g is defined up to a right unit-quaternion factor; the gauge fixed here
     makes its lowest nonzero coefficient real and positive."""

@@ -41,6 +41,7 @@ from slicehankel.series import (
     star_mul,
 )
 
+from test_hankel import action_matrix
 from test_series import linf_from_slice
 
 
@@ -145,17 +146,6 @@ def test_criterion_2_norms(capsys):
         f"slice independence {worst_slice:.2e}",
         time.time() - t0,
     )
-
-
-def action_matrix(alpha, n):
-    """Column k holds coefficients -1..-n of H_phi z^k for the symbol phi
-    with phi_hat(-1-m) = alpha(m): the matrix of the star-algebra action,
-    whose commutation residual checks P_- S H_phi = H_phi T."""
-    phi = SliceLaurentSeries({-1 - m: a for m, a in enumerate(alpha)})
-    columns = [apply_H(phi, SliceLaurentSeries({k: Quaternion(1.0)}))
-               for k in range(n)]
-    return QuaternionMatrix([[h.coefficient(-1 - j).components() for h in columns]
-                             for j in range(n)])
 
 
 def test_criterion_3_hankel_structure(capsys):

@@ -15,10 +15,8 @@ from slicehankel.hankel import (
     commutation_residual,
     complex_embed,
     deembed_vector,
-    dump_matrix,
     embed_vector,
     hankel_from_symbol,
-    load_matrix,
     operator_norm,
     shift_S,
     shift_S_adj,
@@ -41,6 +39,41 @@ def random_alpha(rng, length):
 
 def random_vec(rng, n):
     return rng.normal(size=(n, 4))
+
+
+def action_matrix(alpha, n, action=apply_H):
+    """Column k holds coefficients -1..-n of action(phi, z^k) for the symbol
+    phi with phi_hat(-1-m) = alpha(m).  With the default action H_phi this is
+    the matrix of the star-algebra action, whose commutation residual checks
+    P_- S H_phi = H_phi T."""
+    phi = SliceLaurentSeries({-1 - m: a for m, a in enumerate(alpha)})
+    columns = [action(phi, SliceLaurentSeries({k: ONE})) for k in range(n)]
+    return QuaternionMatrix([[h.coefficient(-1 - j).components() for h in columns]
+                             for j in range(n)])
+
+
+def clustered_matrix(rng, gap, n=150):
+    """Real n x n matrix with top singular values 2 and 2 (1 - gap), the rest
+    in [0, 1.9), in a random orthogonal basis."""
+    sigma = np.concatenate([[2.0, 2.0 * (1 - gap)], rng.uniform(0.0, 1.9, n - 2)])
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    data = np.zeros((n, n, 4))
+    data[:, :, 0] = (q1 * sigma) @ q2.T
+    return QuaternionMatrix(data)
+
+
+def lanczos_matvecs(m, **kwargs):
+    """Ritz value of m's embedding and the number of products it took."""
+    matvec, rmatvec, shape = m.embedded_operator()
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return matvec(v)
+
+    theta, _ = hankel._lanczos_top_singular_value(counted, rmatvec, shape, **kwargs)
+    return theta, len(calls)
 
 
 class TestHankelMatrix:
@@ -201,7 +234,7 @@ class TestOperatorNorm:
             assert large >= small - 1e-12
 
     def test_lanczos_matches_dense_svd(self):
-        # 20 random quaternion matrices above the dense-SVD crossover
+        # 22 quaternion matrices above the dense-SVD crossover
         rng = np.random.default_rng(41)
         cases = [random_matrix(rng, r, c) for r, c in
                  [(129, 129), (200, 200), (256, 256), (400, 200), (200, 400),
@@ -215,11 +248,12 @@ class TestOperatorNorm:
             coeffs = {-1 - m: Quaternion(*rng.normal(size=4)) for m in range(64)}
             cases.append(hankel_from_symbol(SliceLaurentSeries(coeffs), 256))
         cases.append(random_matrix(rng, 300, 1).matmul(random_matrix(rng, 1, 200)))
+        cases += [clustered_matrix(rng, 1e-6), QuaternionMatrix.zeros(150, 200)]
         for m in cases:
             dense = float(np.linalg.svd(complex_embed(m), compute_uv=False)[0])
             theta = operator_norm(m)
             assert abs(theta - dense) <= 1e-12 * dense
-            # a Ritz value never exceeds the top singular value
+            # a Ritz value exceeds the top singular value by rounding at most
             assert theta <= dense * (1 + 1e-12)
 
     def test_dispatch_at_crossover(self):
@@ -230,14 +264,16 @@ class TestOperatorNorm:
             np.linalg.svd(complex_embed(small), compute_uv=False)[0])
         a = complex_embed(large)
         assert operator_norm(large) == hankel._lanczos_top_singular_value(
-            lambda v: a @ v, lambda u: np.conj(a.T @ np.conj(u)), a.shape)[0]
+            lambda v: a @ v, lambda u: np.conj(a.T @ np.conj(u)), a.shape,
+            value_only=True)[0]
         # a Hankel matrix takes the same branches, with FFT products above
         for n in (hankel.DENSE_SVD_MAX_SIZE, hankel.DENSE_SVD_MAX_SIZE + 1):
             m = build_hankel_matrix(random_alpha(rng, 2 * n - 1), n)
             expected = (
                 float(np.linalg.svd(complex_embed(m), compute_uv=False)[0])
                 if n <= hankel.DENSE_SVD_MAX_SIZE
-                else hankel._lanczos_top_singular_value(*m.embedded_operator())[0]
+                else hankel._lanczos_top_singular_value(
+                    *m.embedded_operator(), value_only=True)[0]
             )
             assert operator_norm(m) == expected
 
@@ -259,8 +295,34 @@ class TestOperatorNorm:
         m = random_matrix(np.random.default_rng(43), 250, 250)
         assert operator_norm(m) == operator_norm(m)
 
+    def test_value_stop_on_unsplit_pair(self):
+        # a top pair 1e-9 apart looks like one singular value while the
+        # residual is above 1e-12: the value-only stop may end there, short by
+        # up to the pair's distance but still a lower bound; the vector stop
+        # runs on until the pair splits
+        for seed in range(3):
+            m = clustered_matrix(np.random.default_rng(seed), 1e-9)
+            dense = float(np.linalg.svd(complex_embed(m), compute_uv=False)[0])
+            assert dense * (1 - 1e-8) <= operator_norm(m) <= dense * (1 + 1e-12)
+            sigma = hankel.top_singular_pair(m)[0]
+            assert abs(sigma - dense) <= 1e-12 * dense
+
+    def test_value_stop_saves_products(self):
+        # the flat spectrum of a random-coefficient Hankel matrix is the slow
+        # case; on Hilbert the value stop saves about one product
+        rng = np.random.default_rng(50)
+        for n in (hankel.DENSE_SVD_MAX_SIZE + 1, 200, 400):
+            flat = build_hankel_matrix(random_alpha(rng, 2 * n - 1), n)
+            hilbert = build_hankel_matrix(
+                [Quaternion(1.0 / (m + 1)) for m in range(2 * n - 1)], n)
+            for m, fewer in ((flat, 4), (hilbert, 1)):
+                theta, value_calls = lanczos_matvecs(m, value_only=True)
+                sigma, vector_calls = lanczos_matvecs(m)
+                assert value_calls <= vector_calls - fewer
+                assert abs(theta - sigma) <= 1e-12 * sigma
+
     def test_lanczos_hilbert_matches_eigvalsh(self):
-        for size in (256, 512, 1024):
+        for size in (128, 256, 512, 1024):
             alpha = [Quaternion(1.0 / (m + 1)) for m in range(2 * size - 1)]
             real = 1.0 / (np.add.outer(np.arange(size), np.arange(size)) + 1.0)
             expected = float(np.max(np.linalg.eigvalsh(real)))
@@ -348,9 +410,16 @@ class TestCommutation:
     def test_hankel_matrices_commute(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
-            alpha = [Quaternion(*rng.normal(size=4)) for _ in range(21)]
-            m = build_hankel_matrix(alpha, 11)
+            m = action_matrix(random_alpha(rng, 21), 11)
             assert commutation_residual(m) <= 1e-14
+
+    def test_non_hankel_action_fails(self):
+        # H_phi z^k -> H_phi z^(2k) has the matrix alpha(j + 2k), not Hankel
+        rng = np.random.default_rng(44)
+        for _ in range(5):
+            m = action_matrix(random_alpha(rng, 21), 11,
+                              lambda phi, f: apply_H(phi, f.shifted(f.n_min)))
+            assert commutation_residual(m) > 1e-2
 
     def test_corruption_is_detected(self):
         rng = np.random.default_rng(43)
@@ -364,20 +433,3 @@ class TestCommutation:
     def test_requires_square(self):
         with pytest.raises(ValueError):
             commutation_residual(QuaternionMatrix(np.zeros((2, 3, 4))))
-
-
-class TestMatrixDump:
-    def test_round_trip(self):
-        rng = np.random.default_rng(44)
-        m = random_matrix(rng, 3, 5)
-        back = load_matrix(dump_matrix(m))
-        assert back == m
-
-    def test_header_required(self):
-        with pytest.raises(ValueError):
-            load_matrix("1.0 2.0\n")
-
-    def test_row_length_checked(self):
-        text = "matrix 1 2\n1.0 0.0 0.0 0.0\n"
-        with pytest.raises(ValueError, match="row 0"):
-            load_matrix(text)
