@@ -1,7 +1,6 @@
 """Truncated Hankel operators as quaternion matrices, the complex embedding,
 operator norms and top singular pairs (dense SVD up to 96 rows or columns,
-Golub-Kahan-Lanczos above), the bilinear form and the shift
-machinery.
+Golub-Kahan-Lanczos above), the bilinear form and the shift machinery.
 
 A Hankel matrix keeps only its (2N - 1, 4) antidiagonal: its dense entries
 are a read-only strided view, and above the dense crossover Lanczos applies
