@@ -1,4 +1,5 @@
-"""Vectorized quaternion arithmetic on float arrays of shape (..., 4)."""
+"""Vectorized quaternion arithmetic on float arrays of shape (..., 4) and on
+complex pairs q = z1 + z2 j."""
 
 from __future__ import annotations
 
@@ -13,6 +14,12 @@ def to_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def from_pairs(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """Inverse of to_pairs: the (..., 4) components of z1 + z2 j."""
     return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
+
+
+def mul_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a1 + a2 j)(b1 + b2 j) = (a1 b1 - a2 conj b2) + (a1 b2 + a2 conj b1) j."""
+    (a1, a2), (b1, b2) = a, b
+    return np.stack([a1 * b1 - a2 * np.conj(b2), a1 * b2 + a2 * np.conj(b1)])
 
 
 def mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -30,20 +37,9 @@ def mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     )
 
 
-def conj(p: np.ndarray) -> np.ndarray:
-    out = np.array(p, dtype=float, copy=True)
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
 def norm_sq(p: np.ndarray) -> np.ndarray:
     return np.sum(np.square(p), axis=-1)
 
 
 def norm(p: np.ndarray) -> np.ndarray:
     return np.sqrt(norm_sq(p))
-
-
-def inv(p: np.ndarray) -> np.ndarray:
-    n2 = norm_sq(p)
-    return conj(p) / n2[..., None]

@@ -40,6 +40,7 @@ from .series import (
     _fft_samples,
     _grid_guard,
     _grid_samples,
+    _reversed,
     _sup_moments,
     _sup_values,
     conj_c,
@@ -64,7 +65,6 @@ __all__ = [
 ]
 
 _ZERO_NORM_TOL = 1e-13
-_ONE, _I = np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])
 
 
 def _truncation_guard(phi: SliceLaurentSeries, N: int) -> None:
@@ -140,7 +140,8 @@ def constructive_best_approx(
     Returns the sampled sup of |phi - f| as the distance, together with the
     negative-frequency mass of the boundary samples of f (small iff f is
     indeed analytic) and the fraction of grid points excluded because the
-    symmetrization of g (nearly) vanishes there.
+    symmetrization of g (nearly) vanishes there.  The correction is computed
+    at e^{it_k} only; at e^{-it_k} it is the same at index -k.
     """
     _grid_guard(phi, grid)
     hn = hankel_norm(phi, N)
@@ -150,37 +151,16 @@ def constructive_best_approx(
         return ConstructiveResult(project_plus(phi), dist, 0.0, 0.0, "ok")
     if g is None:
         g = maximizing_vector(phi, N)
-    h = apply_H(phi, g)
-    gs = symmetrize(g)
-    gc = conj_c(g)
-
-    # (h * g^{-*})(p) = h(p) g^{-*}(h(p)^{-1} p h(p)), and at p = e^{+-ti} the
-    # moved point is e^{+-tK}, K = h(p)^{-1} i h(p), where g^s and g^c are C +- K S
-    h_samples = _grid_samples(h, grid)
-    gs_cs, gc_cs = (_cos_sin(_grid_samples(s, grid)) for s in (gs, gc))
-    excluded = np.zeros(grid, dtype=bool)
-    corr = []
-    for sign, pairs in ((1.0, h_samples[:2]), (-1.0, h_samples[2:])):
-        hv = arrays.from_pairs(*pairs)
-        hmask = arrays.norm(hv) <= 1e-12
-        hv_safe = np.where(hmask[:, None], _ONE, hv)
-        k = arrays.mul(arrays.mul(arrays.inv(hv_safe), _I), hv_safe)
-        gsv, gcv = (cos + sign * arrays.mul(k, sin) for cos, sin in (gs_cs, gc_cs))
-        excl = (arrays.norm(gsv) <= 1e-10) & ~hmask
-        gsv_safe = np.where(excl[:, None], _ONE, gsv)
-        c = arrays.mul(hv, arrays.mul(arrays.inv(gsv_safe), gcv))
-        c[hmask | excl] = 0.0
-        excluded |= excl
-        corr.append(arrays.to_pairs(c))
-
-    vals = _sup_values(*corr[0], *corr[1])
+    corr, excl = _quotient_samples(apply_H(phi, g), g, grid)
+    excluded = excl | _reversed(excl)
+    vals = _sup_values(*corr, *_reversed(corr))
     good = ~excluded
     distance = float(np.max(vals[good])) if np.any(good) else 0.0
     excluded_fraction = float(np.mean(excluded))
     status = "warning" if excluded_fraction > 0.01 else "ok"
 
     # f = phi - h * g^{-*} at e^{it}, back to coefficients
-    f_plus = _grid_samples(phi, grid)[:2] - np.stack(corr[0])
+    f_plus = _grid_samples(phi, grid)[:2] - corr
     fa, fb = np.fft.fft(f_plus) / grid
     freqs = np.fft.fftfreq(grid, d=1.0 / grid)
     neg = freqs < 0
@@ -188,6 +168,28 @@ def constructive_best_approx(
 
     best = _series_from_spectrum(fa, fb, freqs, cutoff=min(grid // 2 - 1, 8 * N))
     return ConstructiveResult(best, distance, mass, excluded_fraction, status)
+
+
+def _quotient_samples(h: SliceLaurentSeries, g: SliceLaurentSeries, grid: int):
+    """(h * g^{-*})(e^{it_k}) as complex pairs (2, grid), 0 where |h| <= 1e-12
+    or |g^s| <= 1e-10, and the mask where g^s is that small and h is not.
+
+    At p = e^{it}, (h * g^{-*})(p) = h(p) g^{-*}(e^{tK}), K = h(p)^{-1} i h(p).
+    There g^s = c + Ks with c, s real (g^s has real coefficients: its samples
+    are c + is) and g^c = C + KS, so h g^{-*} = h (cC + sS + K(cS - sC)) /
+    (c^2 + s^2), and h K = i h.
+    """
+    hp = _grid_samples(h, grid)[:2]
+    gs = _grid_samples(symmetrize(g), grid)[0]
+    cos, sin = (np.stack(arrays.to_pairs(v)) for v in _cos_sin(_grid_samples(conj_c(g), grid)))
+    gs_sq = gs.real ** 2 + gs.imag ** 2
+    hmask = np.sum(np.abs(hp) ** 2, axis=0) <= 1e-24
+    excl = (gs_sq <= 1e-20) & ~hmask
+    gs_sq[gs_sq <= 1e-20] = 1.0
+    corr = (arrays.mul_pairs(hp, (gs.real * cos + gs.imag * sin) / gs_sq)
+            + 1j * arrays.mul_pairs(hp, (gs.real * sin - gs.imag * cos) / gs_sq))
+    corr[:, hmask | excl] = 0.0
+    return corr, excl
 
 
 def _series_from_spectrum(fa, fb, freqs, cutoff: int) -> SliceLaurentSeries:
@@ -230,22 +232,28 @@ _Point = namedtuple("_Point", "s x res im_p r a b")  # see _WorkingSet.point
 
 class _WorkingSet:
     """The barrier -sum_t log det Z_t, Z_t = [[s I, M_t], [M_t^H, s I]], over
-    the grid points idx, for polynomials of the given degree."""
+    the grid points idx and their mirrors, for polynomials of the given
+    degree.  M_{-t} has the singular values of M_t, so a point whose mirror
+    -k mod grid is not in idx counts twice (weight w = 2); nu = 4 sum w."""
 
     def __init__(self, samples: np.ndarray, idx: np.ndarray, grid: int, degree: int):
-        self.idx, self.degree, self.nu = idx, degree, 4 * len(idx)
+        self.idx, self.degree = idx, degree
+        self.w = np.where(np.isin(-idx % grid, idx), 1.0, 2.0)
+        self.nu = 4.0 * float(np.sum(self.w))
         self.samples = samples[:, idx]
         # e^{ikt} for k = -degree .. 2 degree: the Hessian needs n + m and n - m
         ks = np.arange(-degree, 2 * degree + 1)
         self.epow = np.exp(1j * np.outer(ks, (2.0 * np.pi / grid) * idx))
-        self.e = self.epow[degree:2 * degree + 1]
+        self.wepow = self.epow * self.w
+        self.e, self.we = self.epow[degree:2 * degree + 1], self.wepow[degree:2 * degree + 1]
+        self.e_conj = np.conj(self.e)
 
     def point(self, s: float, x: np.ndarray) -> _Point:
         """The barrier terms in factored form, a = s^2 - sigma_1^2 and
         b = s^2 - sigma_2^2 = a + 4r: the expanded s^4 - s^2 |M|^2 + |det M|^2
         cancels at a flat optimum."""
-        f = np.stack(arrays.to_pairs(x.reshape(-1, 4)))
-        res = self.samples - np.concatenate([f @ self.e, f @ np.conj(self.e)])
+        f = x.reshape(-1, 4).view(complex).T  # the pairs (w + ix, y + iz)
+        res = self.samples - np.concatenate([f @ self.e, f @ self.e_conj])
         base, im_p, qc_sq = _sup_moments(*res)
         r = np.sqrt(im_p * im_p + qc_sq)
         sig1 = np.sqrt(base + 2.0 * r)
@@ -272,21 +280,24 @@ class _WorkingSet:
         w22 /= s
         # d/dx_(n,c) of -log det Z_t is -2 Re e^{int} tr(W21 K_c); the
         # Hessian is 2 Re of e^{i(n+m)t} tr(W21 K_c W21 K_d) plus
-        # e^{i(n-m)t} tr(W11 K_c W22 K_d^H), summed over t
+        # e^{i(n-m)t} tr(W11 K_c W22 K_d^H), summed over t with weights w
         deg, d1, dim = self.degree, self.degree + 1, 4 * self.degree + 4
         n = np.arange(d1)
-        hx1 = (self.epow @ (w21[:, None] * w21[None]).reshape(16, -1).T) @ _C1
-        hx2 = (self.epow @ (w11[:, None] * w22[None]).reshape(16, -1).T) @ _C2
+        hx1 = (self.wepow @ (w21[:, None] * w21[None]).reshape(16, -1).T) @ _C1
+        hx2 = (self.wepow @ (w11[:, None] * w22[None]).reshape(16, -1).T) @ _C2
         hxx = 2.0 * (hx1[n[:, None] + n + deg] + hx2[n[:, None] - n + deg]).real
         hess = np.empty((dim + 1, dim + 1))
         hess[1:, 1:] = hxx.reshape(d1, d1, 4, 4).transpose(0, 2, 1, 3).reshape(dim, dim)
-        w2_21 = _mul22(w21, w11) + _mul22(w22, w21)
-        hess[0, 1:] = hess[1:, 0] = 2.0 * ((self.e @ w2_21.T) @ _KT).real.ravel()
-        hess[0, 0] = (np.vdot(w11, w11) + 2.0 * np.vdot(w21, w21)
-                      + np.vdot(w22, w22)).real
+        # the s-x terms take (W^2)_21 = -dW21/ds = 2 s W21 S for W21; the s-s
+        # term tr W^2 sums 1/(s +- sigma)^2 = (4 s^2 - 2 a) / a^2 for sigma_1
+        tr_k = ((self.we @ np.concatenate([w21, 2.0 * s * _mul22(w21, sinv)]).T)
+                .reshape(d1, 2, 4) @ _KT).real
+        ia, ib = 1.0 / a, 1.0 / b
+        hess[0, 1:] = hess[1:, 0] = 2.0 * tr_k[:, 1].ravel()
+        hess[0, 0] = (4.0 * s * s * (ia * ia + ib * ib) - 2.0 * (ia + ib)) @ self.w
         grad = np.empty(dim + 1)
-        grad[0] = tau - 2.0 * s * np.sum(1.0 / a + 1.0 / b)
-        grad[1:] = -2.0 * ((self.e @ w21.T) @ _KT).real.ravel()
+        grad[0] = tau - 2.0 * s * ((ia + ib) @ self.w)
+        grad[1:] = -2.0 * tr_k[:, 0].ravel()
         step = np.linalg.solve(hess, -grad)
         return step, float(-grad @ step)
 
@@ -313,8 +324,8 @@ def _center(ws: _WorkingSet, s: float, x: np.ndarray, tau: float, budget: int):
             spent += 1
             # every trial stays strictly inside: s above sigma_1 everywhere
             if q.s > 0.0 and np.all(q.a > 0.0):
-                change = tau * t * step[0] - np.sum(np.log(q.a / p.a)
-                                                    + np.log(q.b / p.b))
+                change = tau * t * step[0] - (np.log(q.a / p.a)
+                                              + np.log(q.b / p.b)) @ ws.w
                 if change <= -0.25 * t * lam2:
                     break
             t *= 0.5
@@ -336,8 +347,11 @@ def optimize_distance(
     log-det barrier method (Boyd-Vandenberghe 2004, ch. 11; tau x 20 per
     outer step) on a subgrid of at least 256 points; after each outer step
     the full grid's local maxima above s join it (Remez-style exchange).
-    The bound s - (nu + (lam + sqrt nu) lam / (1 - lam)) / tau (nu = 4 per
-    point, lam the Newton decrement; Nesterov 2004, Thm 4.2.7) is
+    The sup is even in t, so only the half grid k = 0 .. grid // 2 is
+    searched and the subgrid holds half-grid points, each weighted 2 for
+    itself and its mirror -k (1 at k = 0 and grid / 2).  The bound
+    s - (nu + (lam + sqrt nu) lam / (1 - lam)) / tau (nu = 4 sum of the
+    weights, lam the Newton decrement; Nesterov 2004, Thm 4.2.7) is
     ``lower_bound``.
 
     The iterates, the best full-grid value after each outer step, are exact
@@ -356,14 +370,14 @@ def optimize_distance(
         # as for phi: a coarser grid aliases the residual's frequencies
         raise ValueError(f"grid {grid} too coarse for degree {degree}; "
                          f"need at least {4 * degree + 16}")
-    d1 = degree + 1
+    d1, half = degree + 1, grid // 2 + 1
     samples = _grid_samples(phi, grid)  # A+, B+, A-, B-
-    tol = 1e-6 * max(1.0, float(np.max(_sup_values(*samples))))
+    tol = 1e-6 * max(1.0, float(np.max(_sup_values(*samples[:, :half]))))
 
-    def full_values(x: np.ndarray) -> np.ndarray:
+    def full_values(x: np.ndarray) -> np.ndarray:  # the sup at +-t_k, k <= grid / 2
         f = np.zeros((2, grid), dtype=complex)
         f[:, :d1] = arrays.to_pairs(x.reshape(d1, 4))
-        return _sup_values(*(samples - _fft_samples(f)))
+        return _sup_values(*(samples[:, :half] - _fft_samples(f)[:, :half]))
 
     x = np.zeros(4 * d1)
     for n, a in project_plus(phi).coeffs.items():
@@ -372,7 +386,10 @@ def optimize_distance(
     best_x, best = x, float(np.max(full_values(x)))
     evaluations, iterates, lower = 1, [best], 0.0
     stride = max(1, grid // max(256, 2 * d1))
-    ws = _WorkingSet(samples, np.arange(0, grid, stride), grid, degree)
+    ws = _WorkingSet(samples, np.arange(0, half, stride), grid, degree)
+    # the neighbours of each half-grid point, reflected at both ends
+    k = np.arange(half)
+    left, right = (np.minimum(m % grid, -m % grid) for m in (k - 1, k + 1))
     s, tau = 1.05 * best, ws.nu / best if best else 0.0
     # one evaluation is kept back for the full-grid check of the last point
     while best - lower > tol and evaluations < budget - 1:
@@ -388,7 +405,7 @@ def optimize_distance(
         if full < best:
             best, best_x = full, x
         iterates.append(best)
-        peak = (vals > s) & (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+        peak = (vals > s) & (vals >= vals[left]) & (vals >= vals[right])
         peak[ws.idx] = False
         new = np.flatnonzero(peak)
         if new.size:

@@ -172,8 +172,8 @@ def _grid_samples(f: SliceLaurentSeries, grid: int) -> np.ndarray:
 
     With a_n = alpha_n + beta_n j, f(e^{it}) = sum e^{int} alpha_n
     + (sum e^{int} beta_n) j, so the pairs placed at index n mod grid give
-    A+ as the unscaled inverse FFT and A- as the FFT, and B+- likewise from
-    the beta_n.
+    A+ as the unscaled inverse FFT, and B+ likewise from the beta_n.  Since
+    -t_k = t_{-k}, the - rows are the + rows at index -k mod grid.
     """
     placed = np.zeros((2, grid), dtype=complex)
     if f.coeffs:
@@ -188,8 +188,15 @@ def _grid_samples(f: SliceLaurentSeries, grid: int) -> np.ndarray:
 
 def _fft_samples(placed: np.ndarray) -> np.ndarray:
     """The FFT step of _grid_samples, from coefficient pairs already placed
-    at index n mod grid in a (2, grid) array."""
-    return np.concatenate([np.fft.ifft(placed, norm="forward"), np.fft.fft(placed)])
+    at index n mod grid in a (2, grid) array: one inverse FFT for the + rows,
+    and the - rows by index reversal."""
+    plus = np.fft.ifft(placed, norm="forward")
+    return np.concatenate([plus, _reversed(plus)])
+
+
+def _reversed(v: np.ndarray) -> np.ndarray:
+    """v[..., -k mod grid]: grid samples at e^{-it_k} from those at e^{it_k}."""
+    return np.roll(v[..., ::-1], 1, axis=-1)
 
 
 def _cos_sin(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

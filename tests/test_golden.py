@@ -9,9 +9,11 @@ with
 
     python tests/test_golden.py --regen
 
-and lists every changed line in CHANGES.md.
+which prints the lines that changed in each file, as a diff, to be listed
+in CHANGES.md.
 """
 
+import difflib
 import json
 import os
 import subprocess
@@ -60,9 +62,20 @@ def _regenerate():
     for name, argv in sorted(CASES.items()):
         code, out, err = _run(argv)
         exits[name] = code
-        (GOLDEN / f"{name}.stdout").write_bytes(out)
-        (GOLDEN / f"{name}.stderr").write_bytes(err)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(exits, indent=1) + "\n")
+        _write(GOLDEN / f"{name}.stdout", out)
+        _write(GOLDEN / f"{name}.stderr", err)
+    _write(GOLDEN / "exit_codes.json", (json.dumps(exits, indent=1) + "\n").encode())
+
+
+def _write(path, data):
+    """Write data to path and print the lines that changed as a diff."""
+    old = path.read_bytes() if path.exists() else b""
+    name = f"golden/{path.name}"
+    for line in difflib.unified_diff(old.decode(errors="replace").splitlines(),
+                                     data.decode(errors="replace").splitlines(),
+                                     name, name, n=0, lineterm=""):
+        print(line)
+    path.write_bytes(data)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,8 @@ from slicehankel.hankel import (
 )
 from slicehankel.nehari import (
     ApproximationReport,
+    _quotient_samples,
+    _WorkingSet,
     approximation_report,
     constructive_best_approx,
     hankel_norm,
@@ -24,12 +26,16 @@ from slicehankel.nehari import (
     optimize_distance,
     verify_nehari_bounds,
 )
-from slicehankel.quat import Quaternion
+from slicehankel.quat import REFERENCE_UNIT, BoundaryPoint, Quaternion
 from slicehankel.series import (
     SliceLaurentSeries,
+    _grid_samples,
+    _sup_values,
+    evaluate,
     l2_norm,
     linf_norm,
     load_series,
+    recip_star_at,
 )
 
 ONE = Quaternion(1.0)
@@ -251,6 +257,27 @@ class TestConstructive:
             fine = constructive_best_approx(phi, 32, 8192)
             assert abs(fine.distance - hn) <= 5e-14 * hn
 
+    @pytest.mark.parametrize("depth", [1, 3, 40])
+    def test_quotient_samples_match_pointwise_oracle(self, depth):
+        # (h * g^{-*})(p) = h(p) g^{-*}(h(p)^{-1} p h(p)) at 16 grid points,
+        # at e^{it} and, through the index reversal, at e^{-it}
+        rng = np.random.default_rng(56)
+        phi = deep_symbol(rng, depth)
+        g = maximizing_vector(phi, 2 * depth + 8)
+        h = apply_H(phi, g)
+        grid = 256
+        corr, excl = _quotient_samples(h, g, grid)
+        assert not np.any(excl)
+        for k in range(0, grid, grid // 16):
+            for sign, j in ((1.0, k), (-1.0, -k % grid)):
+                p = BoundaryPoint(REFERENCE_UNIT, sign * 2.0 * math.pi * k / grid)
+                hv = evaluate(h, p)
+                moved = hv.inverse() * p.to_quaternion() * hv
+                want = hv * recip_star_at(
+                    g, BoundaryPoint.from_quaternion(moved * (1.0 / abs(moved))))
+                got = Quaternion(*arrays.from_pairs(*corr[:, j]))
+                assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_gauge_invariance(self):
         rng = np.random.default_rng(54)
         phi = random_symbol(rng)
@@ -308,6 +335,29 @@ def criterion5_symbol(rng):
     for pos in range(int(rng.integers(0, 3))):
         coeffs[pos] = Quaternion(*rng.normal(size=4))
     return SliceLaurentSeries(coeffs)
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("grid", [256, 251])
+    def test_weighted_half_equals_full_symmetric_set(self, grid):
+        # a half-grid point whose mirror is absent stands for both with
+        # weight 2: the same barrier as the symmetric set, at half the points
+        rng = np.random.default_rng(62)
+        phi = criterion5_symbol(rng)
+        degree = 6
+        samples = _grid_samples(phi, grid)
+        half = np.arange(0, grid // 2 + 1, 5)
+        full = np.union1d(half, -half % grid)
+        ws_half = _WorkingSet(samples, half, grid, degree)
+        ws_full = _WorkingSet(samples, full, grid, degree)
+        assert ws_half.nu == ws_full.nu == 4 * len(full)
+        x = 0.1 * rng.normal(size=4 * degree + 4)
+        s = 1.5 * float(np.max(_sup_values(*samples)))
+        tau = ws_full.nu / s
+        step_half, lam2_half = ws_half.newton_step(ws_half.point(s, x), tau)
+        step_full, lam2_full = ws_full.newton_step(ws_full.point(s, x), tau)
+        assert np.max(np.abs(step_half - step_full)) <= 1e-10 * np.max(np.abs(step_full))
+        assert abs(lam2_half - lam2_full) <= 1e-10 * lam2_full
 
 
 class TestBarrierSolver:

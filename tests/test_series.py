@@ -113,6 +113,21 @@ class TestGridSamples:
             scale = np.max(np.sqrt(np.sum(want ** 2, axis=1)))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("grid", [64, 63])
+    def test_minus_rows_are_plus_rows_reversed(self, grid):
+        # e^{-it_k} = e^{it_{-k}}: the - rows are the + rows at index -k mod
+        # grid to the bit, and both rows match the scalar oracle
+        rng = np.random.default_rng(13)
+        f = random_series(rng, -7, 7)
+        samples = _grid_samples(f, grid)
+        assert np.array_equal(samples[2:], samples[:2, -np.arange(grid) % grid])
+        for sign, pairs in ((1.0, samples[:2]), (-1.0, samples[2:])):
+            want = np.array([
+                evaluate(f, BoundaryPoint(REFERENCE_UNIT, sign * 2.0 * math.pi * k / grid))
+                .components() for k in range(grid)])
+            scale = np.max(np.sqrt(np.sum(want ** 2, axis=1)))
+            assert np.max(np.abs(arrays.from_pairs(*pairs) - want)) <= 1e-12 * scale
+
     def test_aliasing_support_rejected(self):
         ok = SliceLaurentSeries({-8: ONE, 7: I})
         assert _grid_samples(ok, 16).shape == (4, 16)
