@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -36,12 +37,9 @@ from .hankel import (
 from .quat import Quaternion
 from .series import (
     SliceLaurentSeries,
-    _cos_sin,
-    _fft_samples,
     _grid_guard,
-    _grid_samples,
+    _plus_samples,
     _reversed,
-    _sup_moments,
     _sup_values,
     conj_c,
     dumps_series,
@@ -142,14 +140,18 @@ def constructive_best_approx(
     indeed analytic) and the fraction of grid points excluded because the
     symmetrization of g (nearly) vanishes there.  The correction is computed
     at e^{it_k} only; at e^{-it_k} it is the same at index -k.
+
+    g is the maximizing vector to use.  Without it the route computes the
+    Hankel norm, returns phi's analytic part for a zero operator, and
+    otherwise takes ``maximizing_vector(phi, N)``.
     """
     _grid_guard(phi, grid)
-    hn = hankel_norm(phi, N)
-    if hn <= _ZERO_NORM_TOL:
-        neg = project_minus(phi)
-        dist = 0.0 if neg.is_zero() else linf_norm(neg, grid)
-        return ConstructiveResult(project_plus(phi), dist, 0.0, 0.0, "ok")
+    _truncation_guard(phi, N)
     if g is None:
+        if hankel_norm(phi, N) <= _ZERO_NORM_TOL:
+            neg = project_minus(phi)
+            dist = 0.0 if neg.is_zero() else linf_norm(neg, grid)
+            return ConstructiveResult(project_plus(phi), dist, 0.0, 0.0, "ok")
         g = maximizing_vector(phi, N)
     corr, excl = _quotient_samples(apply_H(phi, g), g, grid)
     excluded = excl | _reversed(excl)
@@ -160,8 +162,7 @@ def constructive_best_approx(
     status = "warning" if excluded_fraction > 0.01 else "ok"
 
     # f = phi - h * g^{-*} at e^{it}, back to coefficients
-    f_plus = _grid_samples(phi, grid)[:2] - corr
-    fa, fb = np.fft.fft(f_plus) / grid
+    fa, fb = np.fft.fft(_plus_samples(phi, grid) - corr) / grid
     freqs = np.fft.fftfreq(grid, d=1.0 / grid)
     neg = freqs < 0
     mass = float(np.sqrt(np.sum(np.abs(fa[neg]) ** 2 + np.abs(fb[neg]) ** 2)))
@@ -179,9 +180,11 @@ def _quotient_samples(h: SliceLaurentSeries, g: SliceLaurentSeries, grid: int):
     are c + is) and g^c = C + KS, so h g^{-*} = h (cC + sS + K(cS - sC)) /
     (c^2 + s^2), and h K = i h.
     """
-    hp = _grid_samples(h, grid)[:2]
-    gs = _grid_samples(symmetrize(g), grid)[0]
-    cos, sin = (np.stack(arrays.to_pairs(v)) for v in _cos_sin(_grid_samples(conj_c(g), grid)))
+    hp = _plus_samples(h, grid)
+    gs = _plus_samples(symmetrize(g), grid)[0]
+    gc_plus = _plus_samples(conj_c(g), grid)
+    gc_minus = _reversed(gc_plus)
+    cos, sin = (gc_plus + gc_minus) / 2, (gc_plus - gc_minus) / 2j
     gs_sq = gs.real ** 2 + gs.imag ** 2
     hmask = np.sum(np.abs(hp) ** 2, axis=0) <= 1e-24
     excl = (gs_sq <= 1e-20) & ~hmask
@@ -225,87 +228,172 @@ _KT = _K.transpose(0, 2, 1).reshape(4, 4).T
 # tr(V K_c V' K_d) and tr(V K_c V' K_d^H) from the products V[i, j] V'[k, l]
 _C1 = np.einsum("cjk,dli->ijklcd", _K, _K).reshape(16, 16)
 _C2 = np.einsum("cjk,dil->ijklcd", _K, np.conj(_K)).reshape(16, 16)
+# The projections of the tables of _WorkingSet.newton_step: N_p N_q, p <= q
+# (entries 00, 01, 10, 11) to 2 tr(N K_c N K_d); S (x) X, N and [N S | N M]
+# (rows 0-15, 16-19, 20-27) to 2 tr(S K_c X K_d^H), 2 tr(N K_c), tr(N S K_c).
+_PAIR_P, _PAIR_Q = np.triu_indices(4)
+_PROJ_HIGH = 2.0 * np.where((_PAIR_P == _PAIR_Q)[:, None], _C1[5 * _PAIR_P],
+                            _C1[4 * _PAIR_P + _PAIR_Q] + _C1[4 * _PAIR_Q + _PAIR_P])
+_PROJ_LOW = np.zeros((28, 24), dtype=complex)
+_PROJ_LOW[:16, :16] = 2.0 * _C2
+_PROJ_LOW[16:20, 16:20] = 2.0 * _KT
+_PROJ_LOW[[20, 21, 24, 25], 20:] = _KT
+_SIGN = np.array([[1.0], [-1.0]])
 
 
-_Point = namedtuple("_Point", "s x res im_p r a b")  # see _WorkingSet.point
+@lru_cache(maxsize=16)
+def _hessian_index(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of Re hx1[n + m]_cd and Re hx2[n - m]_cd for entry
+    (4n + c, 4m + d) of the x-x Hessian in newton_step's projected tables,
+    (2 degree + 1, 16) then (degree + 1, 24).  For n < m it reads
+    Re hx2[m - n]_dc, as hx2[-k]_cd = conj hx2[k]_dc.  Read-only, since the
+    cache shares them."""
+    d1 = degree + 1
+    n, c, m, d = np.ix_(np.arange(d1), np.arange(4), np.arange(d1), np.arange(4))
+    shape = (4 * d1, 4 * d1)
+    hx1 = (16 * (n + m) + 4 * c + d).reshape(shape)
+    lo = np.where(n >= m, 24 * (n - m) + 4 * c + d, 24 * (m - n) + 4 * d + c)
+    hx2 = 16 * (2 * degree + 1) + lo.reshape(shape)
+    for table in (hx1, hx2):
+        table.setflags(write=False)
+    return hx1, hx2
+
+
+_Point = namedtuple("_Point", "s x res d e a b ab qc")  # see _WorkingSet.point
 
 
 class _WorkingSet:
     """The barrier -sum_t log det Z_t, Z_t = [[s I, M_t], [M_t^H, s I]], over
     the grid points idx and their mirrors, for polynomials of the given
     degree.  M_{-t} has the singular values of M_t, so a point whose mirror
-    -k mod grid is not in idx counts twice (weight w = 2); nu = 4 sum w."""
+    -k mod grid is not in idx counts twice (weight w = 2); nu = 4 sum w.
 
-    def __init__(self, samples: np.ndarray, idx: np.ndarray, grid: int, degree: int):
+    The samples and the powers e^{ikt} at the points are gathered from
+    phi's + samples ``plus`` and the solve's table ``roots`` of
+    e^{2 pi i j / grid}.  The samples are kept as [[A+ | A-], [B+ | B-]],
+    the layout of f @ [e | conj e] for f's coefficient pairs."""
+
+    def __init__(self, plus: np.ndarray, idx: np.ndarray, roots: np.ndarray,
+                 degree: int):
+        grid, width, d1 = len(roots), len(idx), degree + 1
         self.idx, self.degree = idx, degree
-        self.w = np.where(np.isin(-idx % grid, idx), 1.0, 2.0)
+        mirror = -idx % grid
+        member = np.zeros(grid, dtype=bool)
+        member[idx] = True
+        self.w = np.where(member[mirror], 1.0, 2.0)
         self.nu = 4.0 * float(np.sum(self.w))
-        self.samples = samples[:, idx]
-        # e^{ikt} for k = -degree .. 2 degree: the Hessian needs n + m and n - m
-        ks = np.arange(-degree, 2 * degree + 1)
-        self.epow = np.exp(1j * np.outer(ks, (2.0 * np.pi / grid) * idx))
-        self.wepow = self.epow * self.w
-        self.e, self.we = self.epow[degree:2 * degree + 1], self.wepow[degree:2 * degree + 1]
-        self.e_conj = np.conj(self.e)
+        self.samples = plus.take(np.concatenate([idx, mirror]), axis=1)
+        # e^{ikt} for k = 0 .. 2 degree: the Hessian needs n + m and n - m
+        epow = roots[np.outer(np.arange(2 * degree + 1), idx) % grid]
+        self.e = np.concatenate([epow[:d1], np.conj(epow[:d1])], axis=1)
+        self.wepow = epow * self.w
+        self.mh = np.empty((2, 2, width), dtype=complex)
+        self.sm = np.empty((2, 4, width), dtype=complex)  # [S | M]
+        self.high = np.empty((10, width), dtype=complex)
+        self.low = np.empty((28, width), dtype=complex)
+        self.proj = np.empty(16 * (2 * degree + 1) + 24 * d1, dtype=complex)
+        self.hess = np.empty((4 * d1 + 1, 4 * d1 + 1))
+        self.grad = np.empty(4 * d1 + 1)
+        self.index = _hessian_index(degree)
 
     def point(self, s: float, x: np.ndarray) -> _Point:
-        """The barrier terms in factored form, a = s^2 - sigma_1^2 and
-        b = s^2 - sigma_2^2 = a + 4r: the expanded s^4 - s^2 |M|^2 + |det M|^2
-        cancels at a flat optimum."""
-        f = x.reshape(-1, 4).view(complex).T  # the pairs (w + ix, y + iz)
-        res = self.samples - np.concatenate([f @ self.e, f @ self.e_conj])
-        base, im_p, qc_sq = _sup_moments(*res)
-        r = np.sqrt(im_p * im_p + qc_sq)
-        sig1 = np.sqrt(base + 2.0 * r)
-        a = (s - sig1) * (s + sig1)
-        return _Point(s, x, res, im_p, r, a, a + 4.0 * r)
+        """The barrier terms in factored form: d = |A-|^2 + |B-|^2 - |A+|^2
+        - |B+|^2, qc = A+ B- - A- B+, e = hypot(d, 2 |qc|) = sigma_1^2 -
+        sigma_2^2, a = s^2 - sigma_1^2 and b = a + e.  a b stands for the
+        expanded s^4 - s^2 |M|^2 + |det M|^2, which cancels at a flat optimum."""
+        res = self.samples - x.reshape(-1, 4).view(complex).T @ self.e
+        width = len(self.w)
+        ap, am, bp, bm = res[0, :width], res[0, width:], res[1, :width], res[1, width:]
+        sq = np.abs(res) ** 2
+        pm = sq[0] + sq[1]  # |A+|^2 + |B+|^2, then |A-|^2 + |B-|^2
+        plus, minus = pm[:width], pm[width:]
+        qc = ap * bm - am * bp
+        d = minus - plus
+        e = np.hypot(d, 2.0 * np.abs(qc))
+        a = s * s - 0.5 * (plus + minus + e)
+        b = a + e
+        return _Point(s, x, res, d, e, a, b, a * b, qc)
 
     def newton_step(self, point: _Point, tau: float):
         """Newton step on (s, x) for tau s - sum_t log det Z_t, and the
-        squared Newton decrement."""
-        s, _, (ap, bp, am, bm), im_p, r, a, b = point
-        # 2 x 2 blocks per point as (4, G) arrays of entries (00, 01, 10, 11)
-        m = np.stack([ap, bp, np.conj(bm), -np.conj(am)])
-        mh = np.conj(m[[0, 2, 1, 3]])
-        qc = ap * bm - am * bp
-        # W = Z^{-1}: W11 = s S, W21 = -M^H S and W22 = (I - W21 M) / s, with
-        # S = (s^2 I - M M^H)^{-1} = (a I + R) / (a b) and R the rank-one part
-        # [[2(r - im_p), qc], [conj qc, 2(r + im_p)]]
-        sinv = np.stack([2.0 * (r - im_p) + a, qc, np.conj(qc),
-                         2.0 * (r + im_p) + a]) / (a * b)
-        w11 = s * sinv
-        w21 = -_mul22(mh, sinv)
-        w22 = -_mul22(w21, m)
-        w22[::3] += 1.0  # the diagonal entries 00 and 11
-        w22 /= s
-        # d/dx_(n,c) of -log det Z_t is -2 Re e^{int} tr(W21 K_c); the
-        # Hessian is 2 Re of e^{i(n+m)t} tr(W21 K_c W21 K_d) plus
-        # e^{i(n-m)t} tr(W11 K_c W22 K_d^H), summed over t with weights w
-        deg, d1, dim = self.degree, self.degree + 1, 4 * self.degree + 4
-        n = np.arange(d1)
-        hx1 = (self.wepow @ (w21[:, None] * w21[None]).reshape(16, -1).T) @ _C1
-        hx2 = (self.wepow @ (w11[:, None] * w22[None]).reshape(16, -1).T) @ _C2
-        hxx = 2.0 * (hx1[n[:, None] + n + deg] + hx2[n[:, None] - n + deg]).real
-        hess = np.empty((dim + 1, dim + 1))
-        hess[1:, 1:] = hxx.reshape(d1, d1, 4, 4).transpose(0, 2, 1, 3).reshape(dim, dim)
-        # the s-x terms take (W^2)_21 = -dW21/ds = 2 s W21 S for W21; the s-s
-        # term tr W^2 sums 1/(s +- sigma)^2 = (4 s^2 - 2 a) / a^2 for sigma_1
-        tr_k = ((self.we @ np.concatenate([w21, 2.0 * s * _mul22(w21, sinv)]).T)
-                .reshape(d1, 2, 4) @ _KT).real
-        ia, ib = 1.0 / a, 1.0 / b
-        hess[0, 1:] = hess[1:, 0] = 2.0 * tr_k[:, 1].ravel()
-        hess[0, 0] = (4.0 * s * s * (ia * ia + ib * ib) - 2.0 * (ia + ib)) @ self.w
-        grad = np.empty(dim + 1)
-        grad[0] = tau - 2.0 * s * ((ia + ib) @ self.w)
-        grad[1:] = -2.0 * tr_k[:, 0].ravel()
+        squared Newton decrement.
+
+        W = Z^{-1} has W11 = s S, W21 = -N and W22 = X / s, with
+        S = (s^2 I - M M^H)^{-1} = (a I + R) / (a b), R = [[(e - d) / 2, qc],
+        [conj qc, (e + d) / 2]], N = M^H S and X = I + N M.  The gradient in
+        x_(n,c) is 2 Re e^{int} tr(N K_c); the Hessian is 2 Re of
+        e^{i(n+m)t} tr(N K_c N K_d) plus e^{i(n-m)t} tr(S K_c X K_d^H), summed
+        with weights w.  The 2 x 2 blocks live in preallocated (2, 2, W)
+        arrays, and the per-point products in two tables, each summed
+        against wepow by one matmul and projected by one constant matrix:
+        N (x) N at frequencies 0 .. 2 degree, and S (x) X, N and [N S | N M]
+        at 0 .. degree (n - m < 0 needs no rows: only real parts are read).
+        The s-x terms take (W^2)_21 = -2 s N S, the s-s term
+        tr W^2 = sum 4 s^2 (1/a^2 + 1/b^2) - 2 (1/a + 1/b).
+        """
+        s, _, res, d, e, a, b, ab, qc = point
+        width, d1 = len(a), self.degree + 1
+        mh, sm, high, low = self.mh, self.sm, self.high, self.low
+        s_blk, m = sm[:, :2], sm[:, 2:]
+        np.conj(res[:, :width], out=mh[:, 0])  # M^H = [[conj A+, B-], [conj B+, -A-]]
+        np.multiply(res[::-1, width:], _SIGN, out=mh[:, 1])
+        np.conj(mh.transpose(1, 0, 2), out=m)
+        iab, apb = 1.0 / ab, a + b
+        s00 = 0.5 * (e - d) + a  # S00 ab; S11 ab = a + b - S00 ab
+        np.multiply(s00, iab, out=s_blk[0, 0])
+        np.multiply(apb - s00, iab, out=s_blk[1, 1])
+        np.multiply(qc, iab, out=s_blk[0, 1])
+        np.conj(s_blk[0, 1], out=s_blk[1, 0])
+        n_blk = low[16:20].reshape(2, 2, -1)  # N = M^H S
+        np.multiply(mh[:, :1], s_blk[:1], out=n_blk)
+        n_blk += mh[:, 1:] * s_blk[1:]
+        prod = low[20:28].reshape(2, 4, -1)  # [N S | N M] = N [S | M]
+        np.multiply(n_blk[:, :1], sm[:1], out=prod)
+        prod += n_blk[:, 1:] * sm[1:]
+        low[22:28:5] += 1.0  # X = I + N M
+        n_flat = low[16:20]
+        np.multiply(n_flat.take(_PAIR_P, axis=0), n_flat.take(_PAIR_Q, axis=0), out=high)
+        np.multiply(s_blk[:, :, None, None], prod[None, None, :, 2:],
+                    out=low[:16].reshape(2, 2, 2, 2, -1))
+        split, hess, grad = 16 * (2 * d1 - 1), self.hess, self.grad
+        np.matmul(self.wepow @ high.T, _PROJ_HIGH, out=self.proj[:split].reshape(-1, 16))
+        np.matmul(self.wepow[:d1] @ low.T, _PROJ_LOW, out=self.proj[split:].reshape(d1, 24))
+        flat = self.proj.real
+        low_proj = flat[split:].reshape(d1, 24)
+        np.add(flat[self.index[0]], flat[self.index[1]], out=hess[1:, 1:])
+        np.multiply(low_proj[:, 20:], -4.0 * s, out=hess[0, 1:].reshape(d1, 4))
+        hess[1:, 0] = hess[0, 1:]
+        sc1 = apb * iab  # 1/a + 1/b
+        w_sc1 = float(sc1 @ self.w)
+        hess[0, 0] = 4.0 * s * s * float((sc1 * sc1 - 2.0 * iab) @ self.w) - 2.0 * w_sc1
+        grad[0] = tau - 2.0 * s * w_sc1
+        grad[1:].reshape(d1, 4)[:] = low_proj[:, 16:20]
         step = np.linalg.solve(hess, -grad)
-        return step, float(-grad @ step)
+        return step, -float(grad @ step)
 
 
-def _mul22(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise product of 2 x 2 blocks stored as (4, G) entry arrays."""
-    a, b = a.reshape(2, 2, -1), b.reshape(2, 2, -1)
-    return (a[:, :1] * b[:1] + a[:, 1:] * b[1:]).reshape(4, -1)
+class _HalfGrid:
+    """The full-grid check: the sup of |phi - f| at e^{+-it_k},
+    k = 0 .. grid // 2, which covers the grid as the sup is even in t.  phi
+    there is its + samples at index k and -k; f is evaluated by Horner's
+    rule in one buffer."""
+
+    def __init__(self, plus: np.ndarray, roots: np.ndarray):
+        grid = len(roots)
+        self.half = grid // 2 + 1
+        both = np.concatenate([np.arange(self.half), -np.arange(self.half) % grid])
+        self.at, self.phi = roots[both], plus.take(both, axis=1)  # [[A+ | A-], [B+ | B-]]
+        self.res = np.empty_like(self.phi)
+
+    def sups(self, x: np.ndarray) -> np.ndarray:
+        res, half = self.res, self.half
+        f = x.reshape(-1, 4).view(complex)  # the coefficient pairs of f
+        res[:] = f[-1, :, None]
+        for c in f[-2::-1]:
+            np.multiply(res, self.at, out=res)
+            np.add(res, c[:, None], out=res)
+        np.subtract(self.phi, res, out=res)
+        return _sup_values(res[0, :half], res[1, :half], res[0, half:], res[1, half:])
 
 
 def _center(ws: _WorkingSet, s: float, x: np.ndarray, tau: float, budget: int):
@@ -323,9 +411,8 @@ def _center(ws: _WorkingSet, s: float, x: np.ndarray, tau: float, budget: int):
             q = ws.point(p.s + t * step[0], p.x + t * step[1:])
             spent += 1
             # every trial stays strictly inside: s above sigma_1 everywhere
-            if q.s > 0.0 and np.all(q.a > 0.0):
-                change = tau * t * step[0] - (np.log(q.a / p.a)
-                                              + np.log(q.b / p.b)) @ ws.w
+            if q.s > 0.0 and q.a.min() > 0.0:
+                change = tau * t * step[0] - np.log(q.ab / p.ab) @ ws.w
                 if change <= -0.25 * t * lam2:
                     break
             t *= 0.5
@@ -352,7 +439,8 @@ def optimize_distance(
     itself and its mirror -k (1 at k = 0 and grid / 2).  The bound
     s - (nu + (lam + sqrt nu) lam / (1 - lam)) / tau (nu = 4 sum of the
     weights, lam the Newton decrement; Nesterov 2004, Thm 4.2.7) is
-    ``lower_bound``.
+    ``lower_bound``.  One table of the roots of unity e^{2 pi i j / grid}
+    serves every working set and the full-grid check of the solve.
 
     The iterates, the best full-grid value after each outer step, are exact
     sups for admissible competitors.  ``converged``: the last is within 1e-6
@@ -371,22 +459,18 @@ def optimize_distance(
         raise ValueError(f"grid {grid} too coarse for degree {degree}; "
                          f"need at least {4 * degree + 16}")
     d1, half = degree + 1, grid // 2 + 1
-    samples = _grid_samples(phi, grid)  # A+, B+, A-, B-
-    tol = 1e-6 * max(1.0, float(np.max(_sup_values(*samples[:, :half]))))
-
-    def full_values(x: np.ndarray) -> np.ndarray:  # the sup at +-t_k, k <= grid / 2
-        f = np.zeros((2, grid), dtype=complex)
-        f[:, :d1] = arrays.to_pairs(x.reshape(d1, 4))
-        return _sup_values(*(samples[:, :half] - _fft_samples(f)[:, :half]))
-
+    plus = _plus_samples(phi, grid)
+    roots = np.exp((2j * np.pi / grid) * np.arange(grid))
+    check = _HalfGrid(plus, roots)
+    tol = 1e-6 * max(1.0, float(np.max(check.sups(np.zeros(4 * d1)))))
     x = np.zeros(4 * d1)
     for n, a in project_plus(phi).coeffs.items():
         if n <= degree:
             x[4 * n: 4 * n + 4] = a.components()
-    best_x, best = x, float(np.max(full_values(x)))
+    best_x, best = x, float(np.max(check.sups(x)))
     evaluations, iterates, lower = 1, [best], 0.0
     stride = max(1, grid // max(256, 2 * d1))
-    ws = _WorkingSet(samples, np.arange(0, half, stride), grid, degree)
+    ws = _WorkingSet(plus, np.arange(0, half, stride), roots, degree)
     # the neighbours of each half-grid point, reflected at both ends
     k = np.arange(half)
     left, right = (np.minimum(m % grid, -m % grid) for m in (k - 1, k + 1))
@@ -399,7 +483,7 @@ def optimize_distance(
         if lam < 1.0:
             slack = ws.nu + (lam + math.sqrt(ws.nu)) * lam / (1.0 - lam)
             lower = max(lower, s - slack / tau)
-        vals = full_values(x)
+        vals = check.sups(x)
         evaluations += spent + 1
         full = float(np.max(vals))
         if full < best:
@@ -410,7 +494,7 @@ def optimize_distance(
         new = np.flatnonzero(peak)
         if new.size:
             new = new[np.argsort(vals[new])[-(4 * d1 + 1):]]
-            ws = _WorkingSet(samples, np.union1d(ws.idx, new), grid, degree)
+            ws = _WorkingSet(plus, np.union1d(ws.idx, new), roots, degree)
             s, tau = full + 0.01 * (full - lower), ws.nu / (full - lower)
         else:
             tau *= 20.0
@@ -489,10 +573,12 @@ def approximation_report(
     degree: int,
     budget: int,
 ) -> ApproximationReport:
-    """The distance pipeline: hankel_norm, then constructive_best_approx,
-    then optimize_distance, with the better competitor as ``best_approx``."""
+    """The distance pipeline: hankel_norm, then constructive_best_approx
+    (with the maximizing vector of a nonzero operator), then
+    optimize_distance, with the better competitor as ``best_approx``."""
     hn = hankel_norm(phi, N)
-    cons = constructive_best_approx(phi, N, grid)
+    g = maximizing_vector(phi, N) if hn > _ZERO_NORM_TOL else None
+    cons = constructive_best_approx(phi, N, grid, g)
     opt = optimize_distance(phi, degree, grid, budget)
     best = cons.best_approx if cons.distance <= opt.distance else opt.best_approx
     return ApproximationReport(

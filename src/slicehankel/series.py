@@ -168,12 +168,18 @@ def evaluate(f: SliceLaurentSeries, p: BoundaryPoint) -> Quaternion:
 
 def _grid_samples(f: SliceLaurentSeries, grid: int) -> np.ndarray:
     """Samples of f at e^{it_k} and e^{-it_k}, t_k = 2 pi k / grid, as the
-    complex pairs (A+, B+, A-, B-) of a (4, grid) array.
+    complex pairs (A+, B+, A-, B-) of a (4, grid) array.  Since
+    -t_k = t_{-k}, the - rows are the + rows at index -k mod grid."""
+    plus = _plus_samples(f, grid)
+    return np.concatenate([plus, _reversed(plus)])
+
+
+def _plus_samples(f: SliceLaurentSeries, grid: int) -> np.ndarray:
+    """The + rows (A+, B+) of _grid_samples, by one inverse FFT.
 
     With a_n = alpha_n + beta_n j, f(e^{it}) = sum e^{int} alpha_n
     + (sum e^{int} beta_n) j, so the pairs placed at index n mod grid give
-    A+ as the unscaled inverse FFT, and B+ likewise from the beta_n.  Since
-    -t_k = t_{-k}, the - rows are the + rows at index -k mod grid.
+    A+ as the unscaled inverse FFT, and B+ likewise from the beta_n.
     """
     placed = np.zeros((2, grid), dtype=complex)
     if f.coeffs:
@@ -183,15 +189,7 @@ def _grid_samples(f: SliceLaurentSeries, grid: int) -> np.ndarray:
                              f"{ns.min()}..{ns.max()}")
         comps = np.array([a.components() for a in f.coeffs.values()])
         placed[:, ns % grid] = arrays.to_pairs(comps)
-    return _fft_samples(placed)
-
-
-def _fft_samples(placed: np.ndarray) -> np.ndarray:
-    """The FFT step of _grid_samples, from coefficient pairs already placed
-    at index n mod grid in a (2, grid) array: one inverse FFT for the + rows,
-    and the - rows by index reversal."""
-    plus = np.fft.ifft(placed, norm="forward")
-    return np.concatenate([plus, _reversed(plus)])
+    return np.fft.ifft(placed, norm="forward")
 
 
 def _reversed(v: np.ndarray) -> np.ndarray:

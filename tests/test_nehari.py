@@ -16,7 +16,11 @@ from slicehankel.hankel import (
     operator_norm,
 )
 from slicehankel.nehari import (
+    _C1,
+    _C2,
+    _KT,
     ApproximationReport,
+    _HalfGrid,
     _quotient_samples,
     _WorkingSet,
     approximation_report,
@@ -30,6 +34,7 @@ from slicehankel.quat import REFERENCE_UNIT, BoundaryPoint, Quaternion
 from slicehankel.series import (
     SliceLaurentSeries,
     _grid_samples,
+    _plus_samples,
     _sup_values,
     evaluate,
     l2_norm,
@@ -337,6 +342,60 @@ def criterion5_symbol(rng):
     return SliceLaurentSeries(coeffs)
 
 
+def roots_of_unity(grid):
+    return np.exp((2j * np.pi / grid) * np.arange(grid))
+
+
+def _mul22(a, b):
+    """Pointwise product of 2 x 2 blocks stored as (4, W) entry arrays."""
+    a, b = a.reshape(2, 2, -1), b.reshape(2, 2, -1)
+    return (a[:, :1] * b[:1] + a[:, 1:] * b[1:]).reshape(4, -1)
+
+
+def newton_step_reference(ws, point, tau, grid):
+    """The Newton step as computed before the product tables: 2 x 2 blocks
+    as (4, W) entry stacks, W21 and W22 from W11 = s S by _mul22, and one
+    outer product per Hessian table over frequencies -degree .. 2 degree."""
+    s, width, deg = point.s, len(ws.idx), ws.degree
+    (ap, am), (bp, bm) = point.res.reshape(2, 2, width)
+    im_p, r, a, b = 0.25 * point.d, 0.25 * point.e, point.a, point.b
+    ks = np.arange(-deg, 2 * deg + 1)
+    wepow = np.exp(1j * np.outer(ks, (2.0 * np.pi / grid) * ws.idx)) * ws.w
+    we = wepow[deg:2 * deg + 1]
+    m = np.stack([ap, bp, np.conj(bm), -np.conj(am)])
+    mh = np.conj(m[[0, 2, 1, 3]])
+    qc = ap * bm - am * bp
+    sinv = np.stack([2.0 * (r - im_p) + a, qc, np.conj(qc),
+                     2.0 * (r + im_p) + a]) / (a * b)
+    w11 = s * sinv
+    w21 = -_mul22(mh, sinv)
+    w22 = -_mul22(w21, m)
+    w22[::3] += 1.0
+    w22 /= s
+    d1, dim = deg + 1, 4 * deg + 4
+    n = np.arange(d1)
+    hx1 = (wepow @ (w21[:, None] * w21[None]).reshape(16, -1).T) @ _C1
+    hx2 = (wepow @ (w11[:, None] * w22[None]).reshape(16, -1).T) @ _C2
+    hxx = 2.0 * (hx1[n[:, None] + n + deg] + hx2[n[:, None] - n + deg]).real
+    hess = np.empty((dim + 1, dim + 1))
+    hess[1:, 1:] = hxx.reshape(d1, d1, 4, 4).transpose(0, 2, 1, 3).reshape(dim, dim)
+    tr_k = ((we @ np.concatenate([w21, 2.0 * s * _mul22(w21, sinv)]).T)
+            .reshape(d1, 2, 4) @ _KT).real
+    ia, ib = 1.0 / a, 1.0 / b
+    hess[0, 1:] = hess[1:, 0] = 2.0 * tr_k[:, 1].ravel()
+    hess[0, 0] = (4.0 * s * s * (ia * ia + ib * ib) - 2.0 * (ia + ib)) @ ws.w
+    grad = np.empty(dim + 1)
+    grad[0] = tau - 2.0 * s * ((ia + ib) @ ws.w)
+    grad[1:] = -2.0 * tr_k[:, 0].ravel()
+    step = np.linalg.solve(hess, -grad)
+    return step, float(-grad @ step)
+
+
+def half_and_symmetric_sets(grid):
+    half = np.arange(0, grid // 2 + 1, 5)
+    return half, np.union1d(half, -half % grid)
+
+
 class TestWorkingSet:
     @pytest.mark.parametrize("grid", [256, 251])
     def test_weighted_half_equals_full_symmetric_set(self, grid):
@@ -345,19 +404,51 @@ class TestWorkingSet:
         rng = np.random.default_rng(62)
         phi = criterion5_symbol(rng)
         degree = 6
-        samples = _grid_samples(phi, grid)
-        half = np.arange(0, grid // 2 + 1, 5)
-        full = np.union1d(half, -half % grid)
-        ws_half = _WorkingSet(samples, half, grid, degree)
-        ws_full = _WorkingSet(samples, full, grid, degree)
+        plus, roots = _plus_samples(phi, grid), roots_of_unity(grid)
+        half, full = half_and_symmetric_sets(grid)
+        ws_half = _WorkingSet(plus, half, roots, degree)
+        ws_full = _WorkingSet(plus, full, roots, degree)
         assert ws_half.nu == ws_full.nu == 4 * len(full)
         x = 0.1 * rng.normal(size=4 * degree + 4)
-        s = 1.5 * float(np.max(_sup_values(*samples)))
+        s = 1.5 * float(np.max(_sup_values(*_grid_samples(phi, grid))))
         tau = ws_full.nu / s
         step_half, lam2_half = ws_half.newton_step(ws_half.point(s, x), tau)
         step_full, lam2_full = ws_full.newton_step(ws_full.point(s, x), tau)
         assert np.max(np.abs(step_half - step_full)) <= 1e-10 * np.max(np.abs(step_full))
         assert abs(lam2_half - lam2_full) <= 1e-10 * lam2_full
+
+    @pytest.mark.parametrize("grid", [256, 251])
+    @pytest.mark.parametrize("degree", [0, 1, 6, 12])
+    def test_batched_step_matches_reference(self, grid, degree):
+        rng = np.random.default_rng(64 + degree)
+        phi = criterion5_symbol(rng)
+        plus, roots = _plus_samples(phi, grid), roots_of_unity(grid)
+        s = 1.5 * float(np.max(_sup_values(*_grid_samples(phi, grid))))
+        for idx in half_and_symmetric_sets(grid):
+            ws = _WorkingSet(plus, idx, roots, degree)
+            point = ws.point(s, 0.1 * rng.normal(size=4 * degree + 4))
+            tau = ws.nu / s
+            step, lam2 = ws.newton_step(point, tau)
+            want, want_lam2 = newton_step_reference(ws, point, tau, grid)
+            assert np.max(np.abs(step - want)) <= 1e-10 * np.max(np.abs(want))
+            assert abs(lam2 - want_lam2) <= 1e-10 * want_lam2
+
+    @pytest.mark.parametrize("grid", [251, 256])
+    def test_half_grid_check_matches_grid_samples(self, grid):
+        # the sup of |phi - f| at +-t_k, k <= grid / 2, equals the full-grid
+        # sampler's value at those k, for the + and the - half alike
+        rng = np.random.default_rng(65)
+        phi, degree = criterion5_symbol(rng), 6
+        check = _HalfGrid(_plus_samples(phi, grid), roots_of_unity(grid))
+        for _ in range(3):
+            x = rng.normal(size=4 * degree + 4)
+            f = SliceLaurentSeries({n: Quaternion(*c) for n, c in enumerate(x.reshape(-1, 4))})
+            got = check.sups(x)
+            want = _sup_values(*_grid_samples(phi - f, grid))
+            assert got.shape == (grid // 2 + 1,)
+            assert np.max(np.abs(got - want[:grid // 2 + 1])) <= 1e-13 * np.max(want)
+            # the sup is even in t: the values at -k are the same
+            assert np.max(np.abs(got[1:] - want[:-(grid // 2 + 1):-1])) <= 1e-13 * np.max(want)
 
 
 class TestBarrierSolver:
@@ -378,6 +469,17 @@ class TestBarrierSolver:
         phi = load_series(GOLDEN / name)
         res = self.check_certified(phi, 6, 4096)
         assert hankel_norm(phi, 64) <= res.distance + 1e-6
+
+    def test_evaluations_pinned(self):
+        # evaluations is a benchmark count: a faster Newton step must leave
+        # it, and the status, as they were when these values were recorded
+        rng = np.random.default_rng(63)
+        want = [160, 164, 183, 243, 228, 202, 190, 78, 197, 211,
+                219, 207, 241, 173, 191, 147, 78, 78, 148, 173]
+        got = [optimize_distance(criterion5_symbol(rng), 6, 8192, 20000)
+               for _ in range(20)]
+        assert [r.evaluations for r in got] == want
+        assert all(r.status == "converged" for r in got)
 
     def test_random_symbols_converge(self):
         rng = np.random.default_rng(58)
