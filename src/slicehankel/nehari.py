@@ -375,23 +375,29 @@ class _WorkingSet:
 class _HalfGrid:
     """The full-grid check: the sup of |phi - f| at e^{+-it_k},
     k = 0 .. grid // 2, which covers the grid as the sup is even in t.  phi
-    there is its + samples at index k and -k; f is evaluated by Horner's
-    rule in one buffer."""
+    there is its + samples at index k and -k.  f is evaluated there by
+    Horner's rule in one buffer, about 2 degree passes over it, or, once
+    degree reaches log2(grid), by one inverse FFT read at k and -k."""
 
-    def __init__(self, plus: np.ndarray, roots: np.ndarray):
+    def __init__(self, plus: np.ndarray, roots: np.ndarray, degree: int):
         grid = len(roots)
         self.half = grid // 2 + 1
-        both = np.concatenate([np.arange(self.half), -np.arange(self.half) % grid])
-        self.at, self.phi = roots[both], plus.take(both, axis=1)  # [[A+ | A-], [B+ | B-]]
+        self.both = np.concatenate([np.arange(self.half), -np.arange(self.half) % grid])
+        self.at, self.phi = roots[self.both], plus.take(self.both, axis=1)  # [[A+ | A-], [B+ | B-]]
         self.res = np.empty_like(self.phi)
+        self.placed = None if degree < grid.bit_length() else np.zeros((2, grid), dtype=complex)
 
     def sups(self, x: np.ndarray) -> np.ndarray:
         res, half = self.res, self.half
         f = x.reshape(-1, 4).view(complex)  # the coefficient pairs of f
-        res[:] = f[-1, :, None]
-        for c in f[-2::-1]:
-            np.multiply(res, self.at, out=res)
-            np.add(res, c[:, None], out=res)
+        if self.placed is None:
+            res[:] = f[-1, :, None]
+            for c in f[-2::-1]:
+                np.multiply(res, self.at, out=res)
+                np.add(res, c[:, None], out=res)
+        else:
+            self.placed[:, :len(f)] = f.T
+            np.take(np.fft.ifft(self.placed, norm="forward"), self.both, axis=1, out=res)
         np.subtract(self.phi, res, out=res)
         return _sup_values(res[0, :half], res[1, :half], res[0, half:], res[1, half:])
 
@@ -461,7 +467,7 @@ def optimize_distance(
     d1, half = degree + 1, grid // 2 + 1
     plus = _plus_samples(phi, grid)
     roots = np.exp((2j * np.pi / grid) * np.arange(grid))
-    check = _HalfGrid(plus, roots)
+    check = _HalfGrid(plus, roots, degree)
     tol = 1e-6 * max(1.0, float(np.max(check.sups(np.zeros(4 * d1)))))
     x = np.zeros(4 * d1)
     for n, a in project_plus(phi).coeffs.items():

@@ -434,12 +434,14 @@ class TestWorkingSet:
             assert abs(lam2 - want_lam2) <= 1e-10 * want_lam2
 
     @pytest.mark.parametrize("grid", [251, 256])
-    def test_half_grid_check_matches_grid_samples(self, grid):
+    @pytest.mark.parametrize("degree", [6, 16])  # Horner's rule, then the FFT
+    def test_half_grid_check_matches_grid_samples(self, grid, degree):
         # the sup of |phi - f| at +-t_k, k <= grid / 2, equals the full-grid
         # sampler's value at those k, for the + and the - half alike
         rng = np.random.default_rng(65)
-        phi, degree = criterion5_symbol(rng), 6
-        check = _HalfGrid(_plus_samples(phi, grid), roots_of_unity(grid))
+        phi = criterion5_symbol(rng)
+        check = _HalfGrid(_plus_samples(phi, grid), roots_of_unity(grid), degree)
+        assert (check.placed is None) == (degree < grid.bit_length())
         for _ in range(3):
             x = rng.normal(size=4 * degree + 4)
             f = SliceLaurentSeries({n: Quaternion(*c) for n, c in enumerate(x.reshape(-1, 4))})
