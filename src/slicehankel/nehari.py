@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -100,7 +99,7 @@ def maximizing_vector(phi: SliceLaurentSeries, N: int) -> SliceLaurentSeries:
     makes its lowest nonzero coefficient real and positive."""
     _truncation_guard(phi, N)
     sigma, v = top_singular_pair(_hankel_block(phi))
-    if sigma <= 1e-14:
+    if sigma <= _ZERO_NORM_TOL:
         raise ValueError("zero operator has no maximizing vector")
     comps = deembed_vector(v)
     mags = np.sqrt(np.sum(np.square(comps), axis=1))
@@ -241,22 +240,17 @@ _PROJ_LOW[[20, 21, 24, 25], 20:] = _KT
 _SIGN = np.array([[1.0], [-1.0]])
 
 
-@lru_cache(maxsize=16)
 def _hessian_index(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions of Re hx1[n + m]_cd and Re hx2[n - m]_cd for entry
     (4n + c, 4m + d) of the x-x Hessian in newton_step's projected tables,
     (2 degree + 1, 16) then (degree + 1, 24).  For n < m it reads
-    Re hx2[m - n]_dc, as hx2[-k]_cd = conj hx2[k]_dc.  Read-only, since the
-    cache shares them."""
+    Re hx2[m - n]_dc, as hx2[-k]_cd = conj hx2[k]_dc."""
     d1 = degree + 1
     n, c, m, d = np.ix_(np.arange(d1), np.arange(4), np.arange(d1), np.arange(4))
     shape = (4 * d1, 4 * d1)
     hx1 = (16 * (n + m) + 4 * c + d).reshape(shape)
     lo = np.where(n >= m, 24 * (n - m) + 4 * c + d, 24 * (m - n) + 4 * d + c)
-    hx2 = 16 * (2 * degree + 1) + lo.reshape(shape)
-    for table in (hx1, hx2):
-        table.setflags(write=False)
-    return hx1, hx2
+    return hx1, 16 * (2 * degree + 1) + lo.reshape(shape)
 
 
 _Point = namedtuple("_Point", "s x res d e a b ab qc")  # see _WorkingSet.point
@@ -270,11 +264,11 @@ class _WorkingSet:
 
     The samples and the powers e^{ikt} at the points are gathered from
     phi's + samples ``plus`` and the solve's table ``roots`` of
-    e^{2 pi i j / grid}.  The samples are kept as [[A+ | A-], [B+ | B-]],
+    e^{2 pi i j / grid}; ``index`` is the solve's ``_hessian_index``.  The samples are kept as [[A+ | A-], [B+ | B-]],
     the layout of f @ [e | conj e] for f's coefficient pairs."""
 
     def __init__(self, plus: np.ndarray, idx: np.ndarray, roots: np.ndarray,
-                 degree: int):
+                 degree: int, index: tuple[np.ndarray, np.ndarray]):
         grid, width, d1 = len(roots), len(idx), degree + 1
         self.idx, self.degree = idx, degree
         mirror = -idx % grid
@@ -294,7 +288,7 @@ class _WorkingSet:
         self.proj = np.empty(16 * (2 * degree + 1) + 24 * d1, dtype=complex)
         self.hess = np.empty((4 * d1 + 1, 4 * d1 + 1))
         self.grad = np.empty(4 * d1 + 1)
-        self.index = _hessian_index(degree)
+        self.index = index
 
     def point(self, s: float, x: np.ndarray) -> _Point:
         """The barrier terms in factored form: d = |A-|^2 + |B-|^2 - |A+|^2
@@ -374,31 +368,37 @@ class _WorkingSet:
 
 class _HalfGrid:
     """The full-grid check: the sup of |phi - f| at e^{+-it_k},
-    k = 0 .. grid // 2, which covers the grid as the sup is even in t.  phi
-    there is its + samples at index k and -k.  f is evaluated there by
-    Horner's rule in one buffer, about 2 degree passes over it, or, once
-    degree reaches log2(grid), by one inverse FFT read at k and -k."""
+    k = 0 .. grid // 2, which covers the grid as the sup is even in t.
+
+    f is evaluated on the whole grid by one batched inverse FFT of length
+    L, the least divisor of grid above degree: with M = grid / L and
+    k = r + M j, f(e^{it_k}) = sum_n (f_n e^{int_r}) e^{2 pi i nj / L}, so
+    the FFT along n of the (L, M) table f_n e^{int_r} lands in grid order.
+    Its output buffer repeats column 0 at the end, so the - rows at index
+    -k are a reversed view of it."""
 
     def __init__(self, plus: np.ndarray, roots: np.ndarray, degree: int):
-        grid = len(roots)
-        self.half = grid // 2 + 1
-        self.both = np.concatenate([np.arange(self.half), -np.arange(self.half) % grid])
-        self.at, self.phi = roots[self.both], plus.take(self.both, axis=1)  # [[A+ | A-], [B+ | B-]]
+        grid, d1 = len(roots), degree + 1
+        lengths = np.arange(d1, grid + 1)
+        length = int(lengths[grid % lengths == 0][0])
+        half = self.half = grid // 2 + 1
+        both = np.concatenate([np.arange(half), -np.arange(half) % grid])
+        self.phi = plus.take(both, axis=1)  # [[A+ | A-], [B+ | B-]]
         self.res = np.empty_like(self.phi)
-        self.placed = None if degree < grid.bit_length() else np.zeros((2, grid), dtype=complex)
+        self.twiddle = roots[np.outer(np.arange(d1), np.arange(grid // length))]
+        self.table = np.zeros((2, length, grid // length), dtype=complex)
+        self.values = np.empty((2, grid + 1), dtype=complex)
 
     def sups(self, x: np.ndarray) -> np.ndarray:
-        res, half = self.res, self.half
+        res, half, values = self.res, self.half, self.values
+        grid = values.shape[1] - 1
         f = x.reshape(-1, 4).view(complex)  # the coefficient pairs of f
-        if self.placed is None:
-            res[:] = f[-1, :, None]
-            for c in f[-2::-1]:
-                np.multiply(res, self.at, out=res)
-                np.add(res, c[:, None], out=res)
-        else:
-            self.placed[:, :len(f)] = f.T
-            np.take(np.fft.ifft(self.placed, norm="forward"), self.both, axis=1, out=res)
-        np.subtract(self.phi, res, out=res)
+        np.multiply(f.T[:, :, None], self.twiddle, out=self.table[:, :len(f)])
+        np.fft.ifft(self.table, axis=1, norm="forward",
+                    out=values[:, :grid].reshape(self.table.shape))
+        values[:, grid] = values[:, 0]
+        np.subtract(self.phi[:, :half], values[:, :half], out=res[:, :half])
+        np.subtract(self.phi[:, half:], values[:, grid:grid - half:-1], out=res[:, half:])
         return _sup_values(res[0, :half], res[1, :half], res[0, half:], res[1, half:])
 
 
@@ -446,7 +446,8 @@ def optimize_distance(
     s - (nu + (lam + sqrt nu) lam / (1 - lam)) / tau (nu = 4 sum of the
     weights, lam the Newton decrement; Nesterov 2004, Thm 4.2.7) is
     ``lower_bound``.  One table of the roots of unity e^{2 pi i j / grid}
-    serves every working set and the full-grid check of the solve.
+    and one pair of Hessian index tables serve every working set of the
+    solve, and the roots also the full-grid check.
 
     The iterates, the best full-grid value after each outer step, are exact
     sups for admissible competitors.  ``converged``: the last is within 1e-6
@@ -467,6 +468,7 @@ def optimize_distance(
     d1, half = degree + 1, grid // 2 + 1
     plus = _plus_samples(phi, grid)
     roots = np.exp((2j * np.pi / grid) * np.arange(grid))
+    index = _hessian_index(degree)
     check = _HalfGrid(plus, roots, degree)
     tol = 1e-6 * max(1.0, float(np.max(check.sups(np.zeros(4 * d1)))))
     x = np.zeros(4 * d1)
@@ -476,7 +478,7 @@ def optimize_distance(
     best_x, best = x, float(np.max(check.sups(x)))
     evaluations, iterates, lower = 1, [best], 0.0
     stride = max(1, grid // max(256, 2 * d1))
-    ws = _WorkingSet(plus, np.arange(0, half, stride), roots, degree)
+    ws = _WorkingSet(plus, np.arange(0, half, stride), roots, degree, index)
     # the neighbours of each half-grid point, reflected at both ends
     k = np.arange(half)
     left, right = (np.minimum(m % grid, -m % grid) for m in (k - 1, k + 1))
@@ -500,7 +502,7 @@ def optimize_distance(
         new = np.flatnonzero(peak)
         if new.size:
             new = new[np.argsort(vals[new])[-(4 * d1 + 1):]]
-            ws = _WorkingSet(plus, np.union1d(ws.idx, new), roots, degree)
+            ws = _WorkingSet(plus, np.union1d(ws.idx, new), roots, degree, index)
             s, tau = full + 0.01 * (full - lower), ws.nu / (full - lower)
         else:
             tau *= 20.0

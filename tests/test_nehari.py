@@ -21,6 +21,7 @@ from slicehankel.nehari import (
     _KT,
     ApproximationReport,
     _HalfGrid,
+    _hessian_index,
     _quotient_samples,
     _WorkingSet,
     approximation_report,
@@ -190,6 +191,15 @@ class TestMaximizingVector:
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError):
             maximizing_vector(SliceLaurentSeries({1: ONE}), 16)
+
+    def test_zero_band_rejected(self):
+        # a Hankel norm of at most 1e-13 is a zero operator to the
+        # constructive route, so no maximizing vector may be handed to it
+        phi = SliceLaurentSeries({-1: Quaternion(0.0, 5e-14, 0.0, 0.0), 1: ONE})
+        assert 1e-14 < hankel_norm(phi, 16) <= 1e-13
+        with pytest.raises(ValueError):
+            maximizing_vector(phi, 16)
+        assert constructive_best_approx(phi, 16, 64).best_approx == SliceLaurentSeries({1: ONE})
 
     def test_deep_symbol_ritz_vector(self):
         # depth 300 is above the dense-SVD crossover, so g is the Lanczos
@@ -406,8 +416,9 @@ class TestWorkingSet:
         degree = 6
         plus, roots = _plus_samples(phi, grid), roots_of_unity(grid)
         half, full = half_and_symmetric_sets(grid)
-        ws_half = _WorkingSet(plus, half, roots, degree)
-        ws_full = _WorkingSet(plus, full, roots, degree)
+        index = _hessian_index(degree)
+        ws_half = _WorkingSet(plus, half, roots, degree, index)
+        ws_full = _WorkingSet(plus, full, roots, degree, index)
         assert ws_half.nu == ws_full.nu == 4 * len(full)
         x = 0.1 * rng.normal(size=4 * degree + 4)
         s = 1.5 * float(np.max(_sup_values(*_grid_samples(phi, grid))))
@@ -425,7 +436,7 @@ class TestWorkingSet:
         plus, roots = _plus_samples(phi, grid), roots_of_unity(grid)
         s = 1.5 * float(np.max(_sup_values(*_grid_samples(phi, grid))))
         for idx in half_and_symmetric_sets(grid):
-            ws = _WorkingSet(plus, idx, roots, degree)
+            ws = _WorkingSet(plus, idx, roots, degree, _hessian_index(degree))
             point = ws.point(s, 0.1 * rng.normal(size=4 * degree + 4))
             tau = ws.nu / s
             step, lam2 = ws.newton_step(point, tau)
@@ -433,15 +444,18 @@ class TestWorkingSet:
             assert np.max(np.abs(step - want)) <= 1e-10 * np.max(np.abs(want))
             assert abs(lam2 - want_lam2) <= 1e-10 * want_lam2
 
-    @pytest.mark.parametrize("grid", [251, 256])
-    @pytest.mark.parametrize("degree", [6, 16])  # Horner's rule, then the FFT
+    @pytest.mark.parametrize("grid", [250, 251, 256])
+    @pytest.mark.parametrize("degree", [0, 6, 7, 16])
     def test_half_grid_check_matches_grid_samples(self, grid, degree):
         # the sup of |phi - f| at +-t_k, k <= grid / 2, equals the full-grid
-        # sampler's value at those k, for the + and the - half alike
+        # sampler's value at those k, for the + and the - half alike; the FFT
+        # length runs from 1 through divisors above the degree (with zero
+        # rows above it, kept zero across calls) to the whole prime grid 251
         rng = np.random.default_rng(65)
         phi = criterion5_symbol(rng)
         check = _HalfGrid(_plus_samples(phi, grid), roots_of_unity(grid), degree)
-        assert (check.placed is None) == (degree < grid.bit_length())
+        _, length, width = check.table.shape
+        assert length * width == grid and length > degree
         for _ in range(3):
             x = rng.normal(size=4 * degree + 4)
             f = SliceLaurentSeries({n: Quaternion(*c) for n, c in enumerate(x.reshape(-1, 4))})
