@@ -53,11 +53,14 @@ __all__ = ["ExperimentConfig", "main"]
 # degree 6, grid 8192.  Above 96 a Hankel norm needs O(N) memory (FFT
 # Lanczos): maximizing_vector at depth 1024 took 0.06 s and 40 MB peak RSS,
 # and hilbert --n 65536 1.1-1.3 s and 124 MB (one BLAS thread, 2 vCPUs).
+# The coefficient cap keeps the optimizer's s^4-sized barrier terms finite:
+# distance overflowed at coefficients of size 1e80, not yet at 1e76.
 MAX_GRID = 2**20
 MAX_HILBERT_N = 65536
 MAX_DEGREE = 256
 MAX_DEGREE_GRID = 2**23
 MAX_DEPTH = 1024
+MAX_COEFF = 1e60
 
 
 @dataclass
@@ -228,6 +231,10 @@ def _load_symbol(path: str) -> SliceLaurentSeries:
     phi = load_series(path)
     if -phi.n_min > MAX_DEPTH:
         raise ValueError(f"symbol depth {-phi.n_min} above the limit {MAX_DEPTH}")
+    for n, a in phi.coeffs.items():
+        if abs(a) > MAX_COEFF:
+            raise ValueError(f"symbol coefficient size {abs(a):.3g} at n = {n} "
+                             f"above the limit {MAX_COEFF:g}")
     return phi
 
 

@@ -259,9 +259,9 @@ def operator_norm(m: QuaternionMatrix) -> float:
     singular values closer than about 1e-8 relative may stay unsplit, leaving
     θ short by up to their distance.  θ ≤ σ_max in exact arithmetic, so a
     Hankel norm stays a lower bound on every analytic distance; in floating
-    point θ can land an ulp or so above the dense value.  Lanczos applies the embedding through ``m.embedded_operator()``:
-    a dense product for a plain matrix, length-2N FFTs in O(N) memory for a
-    HankelMatrix.
+    point θ can land an ulp or so above the dense value.  Lanczos applies the
+    embedding through ``m.embedded_operator()``: a dense product for a plain
+    matrix, length-2N FFTs in O(N) memory for a HankelMatrix.
     """
     if m.rows == 0 or m.cols == 0:
         return 0.0

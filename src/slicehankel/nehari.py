@@ -36,9 +36,12 @@ from .hankel import (
 from .quat import Quaternion
 from .series import (
     SliceLaurentSeries,
+    _cos_sin,
     _grid_guard,
+    _half_samples,
     _plus_samples,
     _reversed,
+    _sup_terms,
     _sup_values,
     conj_c,
     dumps_series,
@@ -154,8 +157,8 @@ def constructive_best_approx(
         g = maximizing_vector(phi, N)
     corr, excl = _quotient_samples(apply_H(phi, g), g, grid)
     excluded = excl | _reversed(excl)
-    vals = _sup_values(*corr, *_reversed(corr))
-    good = ~excluded
+    vals = _sup_values(_half_samples(corr))
+    good = ~excluded[:len(vals)]
     distance = float(np.max(vals[good])) if np.any(good) else 0.0
     excluded_fraction = float(np.mean(excluded))
     status = "warning" if excluded_fraction > 0.01 else "ok"
@@ -181,9 +184,7 @@ def _quotient_samples(h: SliceLaurentSeries, g: SliceLaurentSeries, grid: int):
     """
     hp = _plus_samples(h, grid)
     gs = _plus_samples(symmetrize(g), grid)[0]
-    gc_plus = _plus_samples(conj_c(g), grid)
-    gc_minus = _reversed(gc_plus)
-    cos, sin = (gc_plus + gc_minus) / 2, (gc_plus - gc_minus) / 2j
+    cos, sin = _cos_sin(_plus_samples(conj_c(g), grid))
     gs_sq = gs.real ** 2 + gs.imag ** 2
     hmask = np.sum(np.abs(hp) ** 2, axis=0) <= 1e-24
     excl = (gs_sq <= 1e-20) & ~hmask
@@ -264,8 +265,9 @@ class _WorkingSet:
 
     The samples and the powers e^{ikt} at the points are gathered from
     phi's + samples ``plus`` and the solve's table ``roots`` of
-    e^{2 pi i j / grid}; ``index`` is the solve's ``_hessian_index``.  The samples are kept as [[A+ | A-], [B+ | B-]],
-    the layout of f @ [e | conj e] for f's coefficient pairs."""
+    e^{2 pi i j / grid}; ``index`` is the solve's ``_hessian_index``.  The
+    samples are kept as [[A+ | A-], [B+ | B-]], the layout of _sup_terms and
+    of f @ [e | conj e] for f's coefficient pairs."""
 
     def __init__(self, plus: np.ndarray, idx: np.ndarray, roots: np.ndarray,
                  degree: int, index: tuple[np.ndarray, np.ndarray]):
@@ -291,20 +293,13 @@ class _WorkingSet:
         self.index = index
 
     def point(self, s: float, x: np.ndarray) -> _Point:
-        """The barrier terms in factored form: d = |A-|^2 + |B-|^2 - |A+|^2
-        - |B+|^2, qc = A+ B- - A- B+, e = hypot(d, 2 |qc|) = sigma_1^2 -
-        sigma_2^2, a = s^2 - sigma_1^2 and b = a + e.  a b stands for the
-        expanded s^4 - s^2 |M|^2 + |det M|^2, which cancels at a flat optimum."""
+        """The barrier terms in factored form: d, qc and e = sigma_1^2 -
+        sigma_2^2 of _sup_terms, a = s^2 - sigma_1^2 and b = a + e.  a b
+        stands for the expanded s^4 - s^2 |M|^2 + |det M|^2, which cancels at
+        a flat optimum."""
         res = self.samples - x.reshape(-1, 4).view(complex).T @ self.e
-        width = len(self.w)
-        ap, am, bp, bm = res[0, :width], res[0, width:], res[1, :width], res[1, width:]
-        sq = np.abs(res) ** 2
-        pm = sq[0] + sq[1]  # |A+|^2 + |B+|^2, then |A-|^2 + |B-|^2
-        plus, minus = pm[:width], pm[width:]
-        qc = ap * bm - am * bp
-        d = minus - plus
-        e = np.hypot(d, 2.0 * np.abs(qc))
-        a = s * s - 0.5 * (plus + minus + e)
+        total, d, e, qc = _sup_terms(res)
+        a = s * s - 0.5 * (total + e)
         b = a + e
         return _Point(s, x, res, d, e, a, b, a * b, qc)
 
@@ -381,9 +376,8 @@ class _HalfGrid:
         grid, d1 = len(roots), degree + 1
         lengths = np.arange(d1, grid + 1)
         length = int(lengths[grid % lengths == 0][0])
-        half = self.half = grid // 2 + 1
-        both = np.concatenate([np.arange(half), -np.arange(half) % grid])
-        self.phi = plus.take(both, axis=1)  # [[A+ | A-], [B+ | B-]]
+        self.half = grid // 2 + 1
+        self.phi = _half_samples(plus)
         self.res = np.empty_like(self.phi)
         self.twiddle = roots[np.outer(np.arange(d1), np.arange(grid // length))]
         self.table = np.zeros((2, length, grid // length), dtype=complex)
@@ -399,7 +393,7 @@ class _HalfGrid:
         values[:, grid] = values[:, 0]
         np.subtract(self.phi[:, :half], values[:, :half], out=res[:, :half])
         np.subtract(self.phi[:, half:], values[:, grid:grid - half:-1], out=res[:, half:])
-        return _sup_values(res[0, :half], res[1, :half], res[0, half:], res[1, half:])
+        return _sup_values(res)
 
 
 def _center(ws: _WorkingSet, s: float, x: np.ndarray, tau: float, budget: int):

@@ -141,7 +141,7 @@ def evaluate(f: SliceLaurentSeries, p: BoundaryPoint) -> Quaternion:
     Grouped as C + I*S with C = sum cos(nt) a_n, S = sum sin(nt) a_n, which is
     the same sum with fewer quaternion products.
     """
-    # Kept apart from _grid_samples: the pointwise API, and the independent
+    # Kept apart from _plus_samples: the pointwise API, and the independent
     # scalar oracle the grid samples are tested against.
     t = p.angle
     cw = cx = cy = cz = 0.0
@@ -166,16 +166,9 @@ def evaluate(f: SliceLaurentSeries, p: BoundaryPoint) -> Quaternion:
     )
 
 
-def _grid_samples(f: SliceLaurentSeries, grid: int) -> np.ndarray:
-    """Samples of f at e^{it_k} and e^{-it_k}, t_k = 2 pi k / grid, as the
-    complex pairs (A+, B+, A-, B-) of a (4, grid) array.  Since
-    -t_k = t_{-k}, the - rows are the + rows at index -k mod grid."""
-    plus = _plus_samples(f, grid)
-    return np.concatenate([plus, _reversed(plus)])
-
-
 def _plus_samples(f: SliceLaurentSeries, grid: int) -> np.ndarray:
-    """The + rows (A+, B+) of _grid_samples, by one inverse FFT.
+    """Samples of f at e^{it_k}, t_k = 2 pi k / grid, as the complex pairs
+    (A+, B+) of a (2, grid) array, by one inverse FFT.
 
     With a_n = alpha_n + beta_n j, f(e^{it}) = sum e^{int} alpha_n
     + (sum e^{int} beta_n) j, so the pairs placed at index n mod grid give
@@ -197,13 +190,18 @@ def _reversed(v: np.ndarray) -> np.ndarray:
     return np.roll(v[..., ::-1], 1, axis=-1)
 
 
-def _cos_sin(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C = sum cos(n t_k) a_n and S = sum sin(n t_k) a_n as (grid, 4)
-    components, from the (A+, B+, A-, B-) samples: f(e^{t_k J}) = C + J S on
-    every slice J."""
-    ap, bp, am, bm = samples
-    return (arrays.from_pairs((ap + am) / 2, (bp + bm) / 2),
-            arrays.from_pairs((ap - am) / 2j, (bp - bm) / 2j))
+def _half_samples(plus: np.ndarray) -> np.ndarray:
+    """[[A+ | A-], [B+ | B-]] at k = 0 .. grid // 2 from the + samples (A- at
+    -k): the layout of _sup_values, which covers the grid as the sup is even."""
+    k = np.arange(plus.shape[-1] // 2 + 1)
+    return plus.take(np.concatenate([k, -k % plus.shape[-1]]), axis=-1)
+
+
+def _cos_sin(plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C = sum cos(n t_k) a_n and S = sum sin(n t_k) a_n as complex pairs
+    (2, grid), from the + samples: f(e^{t_k J}) = C + J S on every slice J."""
+    minus = _reversed(plus)
+    return (plus + minus) / 2, (plus - minus) / 2j
 
 
 def extend_from_slice(
@@ -343,34 +341,30 @@ def l2_norm(f: SliceLaurentSeries) -> float:
 def sphere_sup(a: Quaternion, b: Quaternion) -> float:
     """sup over J in S of |a + Jb|, in closed form: the one-point case of
     _sup_values, whose reference-slice values at J = +-i are a +- ib."""
-    a1, a2 = arrays.to_pairs(np.array(a.components()))
-    b1, b2 = arrays.to_pairs(np.array(b.components()))
-    return float(_sup_values(a1 + 1j * b1, a2 + 1j * b2, a1 - 1j * b1, a2 - 1j * b2))
+    (a1, a2), (b1, b2) = (arrays.to_pairs(np.array(q.components())) for q in (a, b))
+    res = np.array([[a1 + 1j * b1, a1 - 1j * b1], [a2 + 1j * b2, a2 - 1j * b2]])
+    return float(_sup_values(res)[0])
 
 
-def _sup_values(ap, bp, am, bm):
-    """Pointwise sup over J of |f(e^{tJ})| from the +/- reference samples.
-
-    With f(e^{tJ}) = a + Jb, |a + Jb|^2 = |a|^2 + |b|^2 - 2 <Im(b conj(a)), J>
-    is largest at J = -Im(b conj(a)) / |Im(b conj(a))|.  Written with
-    a = (f+ + f-)/2 and b = (i/2)(f- - f+) it reduces to |f+|^2, |f-|^2 and
-    cross terms: sup = sqrt(base + 2 sqrt(im_p^2 + |qc|^2 / 4)).
+def _sup_terms(res: np.ndarray):
+    """(plus + minus, d, e, qc) from samples [[A+ | A-], [B+ | B-]]: plus =
+    |A+|^2 + |B+|^2, d = minus - plus, qc = A+ B- - A- B+, e = hypot(d, 2|qc|).
+    M_t = [[A+, B+], [conj B-, -conj A-]] has sigma^2 = (plus + minus +- e) / 2,
+    with no fourth powers; swapping + and - keeps plus + minus and e to the bit.
     """
-    base, im_p, qc_sq = _sup_moments(ap, bp, am, bm)
-    return np.sqrt(base + 2.0 * np.sqrt(im_p ** 2 + qc_sq))
+    width = res.shape[-1] // 2
+    sq = np.abs(res) ** 2
+    plus, minus = sq[0, :width] + sq[1, :width], sq[0, width:] + sq[1, width:]
+    qc = res[0, :width] * res[1, width:] - res[0, width:] * res[1, :width]
+    d = minus - plus
+    return plus + minus, d, np.hypot(d, 2.0 * np.abs(qc)), qc
 
 
-def _sup_moments(ap, bp, am, bm):
-    """The moments (base, im_p, |qc|^2 / 4) of the sup formula:
-      base = (|ap|^2 + |am|^2 + |bp|^2 + |bm|^2) / 2
-      im_p = ((|am|^2 - |ap|^2) + (|bm|^2 - |bp|^2)) / 4
-      qc = ap bm - am bp
-    """
-    s1, s2 = np.abs(ap) ** 2, np.abs(am) ** 2
-    s3, s4 = np.abs(bp) ** 2, np.abs(bm) ** 2
-    base = 0.5 * (s1 + s2 + s3 + s4)
-    im_p = 0.25 * ((s2 - s1) + (s4 - s3))
-    return base, im_p, 0.25 * np.abs(ap * bm - am * bp) ** 2
+def _sup_values(res: np.ndarray) -> np.ndarray:
+    """Pointwise sup over J of |f(e^{tJ})|, sigma_1 = sqrt((plus + minus +
+    e) / 2), from the samples [[A+ | A-], [B+ | B-]] of _sup_terms."""
+    total, _, e, _ = _sup_terms(res)
+    return np.sqrt((total + e) / 2)
 
 
 def _grid_guard(f: SliceLaurentSeries, grid: int) -> None:
@@ -384,13 +378,13 @@ def _grid_guard(f: SliceLaurentSeries, grid: int) -> None:
 
 
 def linf_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
-    """Sampled essential sup: max over a uniform angle grid of the exact
-    sphere sup on each sphere e^{t S}.  A lower bound converging as the grid
-    is refined."""
+    """Sampled essential sup: max over the half grid k = 0 .. grid // 2 (the
+    sup is even in t) of the exact sphere sup on each sphere e^{t S}.  A lower
+    bound converging as the grid is refined."""
     _grid_guard(f, grid)
     if f.is_zero():
         return 0.0
-    return float(np.max(_sup_values(*_grid_samples(f, grid))))
+    return float(np.max(_sup_values(_half_samples(_plus_samples(f, grid)))))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +410,8 @@ def bmo_norm(
     rng = np.random.default_rng(0)
     units = [REFERENCE_UNIT] + [sample_sphere(rng) for _ in range(n_units)]
     dt = 2.0 * np.pi / grid
-    cos_part, sin_part = _cos_sin(_grid_samples(f, grid))
+    cos_part, sin_part = (arrays.from_pairs(*p)
+                          for p in _cos_sin(_plus_samples(f, grid)))
     best = 0.0
     for unit in units:
         vals = cos_part + arrays.mul(np.array(unit.as_quaternion().components()),
@@ -465,6 +460,8 @@ def loads_series(text: str) -> SliceLaurentSeries:
             w, x, y, z = (float(p) for p in parts[1:])
         except ValueError as exc:
             raise ValueError(f"record at line {lineno}: {exc}") from None
+        if n in coeffs:
+            raise ValueError(f"record at line {lineno}: duplicate exponent {n}")
         coeffs[n] = Quaternion(w, x, y, z)
     return SliceLaurentSeries(coeffs)
 

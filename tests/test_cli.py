@@ -156,6 +156,34 @@ class TestConfig:
             assert err.startswith("error: ") and "1025" in err and "1024" in err
             assert err.count("\n") == 1
 
+    def test_huge_coefficient_is_usage_error(self, tmp_path, capsys):
+        # refused up front: near 1e77 the optimizer's s^4-sized terms overflow
+        for size in (1e80, 1e300):
+            path = tmp_path / "huge.txt"
+            phi = SliceLaurentSeries({-1: Quaternion(1.0), -2: Quaternion(0, size, 0, 0)})
+            save_series(phi, path)
+            for command in ("norm", "distance"):
+                code, out, err = run(capsys, [command, "--symbol", str(path), *FAST])
+                assert code == 2
+                assert out == ""
+                assert err.startswith("error: ") and "n = -2" in err and "1e+60" in err
+                assert err.count("\n") == 1
+
+    def test_coefficient_at_the_cap_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        save_series(SliceLaurentSeries({-1: Quaternion(cli.MAX_COEFF)}), path)
+        code, out, _ = run(capsys, ["distance", "--symbol", str(path), *FAST])
+        assert code == 0
+        assert "optimizer_status: converged" in out and "inf" not in out
+
+    def test_duplicate_exponent_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "twice.txt"
+        path.write_text("-1 1.0 0 0 0\n-1 5.0 0 0 0\n")
+        code, out, err = run(capsys, ["norm", "--symbol", str(path), *FAST])
+        assert code == 2
+        assert out == ""
+        assert err == "error: record at line 2: duplicate exponent -1\n"
+
     def test_defaults(self):
         cfg = ExperimentConfig()
         assert (cfg.seed, cfg.truncation_N, cfg.grid) == (0, 64, 4096)

@@ -34,8 +34,8 @@ from slicehankel.nehari import (
 from slicehankel.quat import REFERENCE_UNIT, BoundaryPoint, Quaternion
 from slicehankel.series import (
     SliceLaurentSeries,
-    _grid_samples,
     _plus_samples,
+    _reversed,
     _sup_values,
     evaluate,
     l2_norm,
@@ -421,7 +421,7 @@ class TestWorkingSet:
         ws_full = _WorkingSet(plus, full, roots, degree, index)
         assert ws_half.nu == ws_full.nu == 4 * len(full)
         x = 0.1 * rng.normal(size=4 * degree + 4)
-        s = 1.5 * float(np.max(_sup_values(*_grid_samples(phi, grid))))
+        s = 1.5 * linf_norm(phi, grid)
         tau = ws_full.nu / s
         step_half, lam2_half = ws_half.newton_step(ws_half.point(s, x), tau)
         step_full, lam2_full = ws_full.newton_step(ws_full.point(s, x), tau)
@@ -434,7 +434,7 @@ class TestWorkingSet:
         rng = np.random.default_rng(64 + degree)
         phi = criterion5_symbol(rng)
         plus, roots = _plus_samples(phi, grid), roots_of_unity(grid)
-        s = 1.5 * float(np.max(_sup_values(*_grid_samples(phi, grid))))
+        s = 1.5 * linf_norm(phi, grid)
         for idx in half_and_symmetric_sets(grid):
             ws = _WorkingSet(plus, idx, roots, degree, _hessian_index(degree))
             point = ws.point(s, 0.1 * rng.normal(size=4 * degree + 4))
@@ -460,7 +460,8 @@ class TestWorkingSet:
             x = rng.normal(size=4 * degree + 4)
             f = SliceLaurentSeries({n: Quaternion(*c) for n, c in enumerate(x.reshape(-1, 4))})
             got = check.sups(x)
-            want = _sup_values(*_grid_samples(phi - f, grid))
+            plus = _plus_samples(phi - f, grid)
+            want = _sup_values(np.concatenate([plus, _reversed(plus)], axis=1))
             assert got.shape == (grid // 2 + 1,)
             assert np.max(np.abs(got - want[:grid // 2 + 1])) <= 1e-13 * np.max(want)
             # the sup is even in t: the values at -k are the same
@@ -577,6 +578,16 @@ class TestReports:
         assert report.hankel_norm == 0.0
         assert report.constructive_distance == 0.0
         assert report.check()
+
+    def test_tiny_symbol_distance_not_below_hankel_norm(self):
+        # the sup formula has no fourth powers to underflow at size 1e-100,
+        # so the realized distances stay above the Hankel norm
+        phi = SliceLaurentSeries({-1: Quaternion(1e-100), -2: Quaternion(0, 0, 1e-100, 0)})
+        report = approximation_report(phi, 16, 512, 2, 2000)
+        assert report.hankel_norm == pytest.approx((1 + math.sqrt(5)) / 2 * 1e-100,
+                                                   rel=1e-12)
+        assert report.constructive_distance >= report.hankel_norm
+        assert report.optimized_distance >= report.hankel_norm
 
     def test_verify_rank_one(self):
         rep = verify_nehari_bounds([ONE], 16, 2, 512, 2000)

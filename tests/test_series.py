@@ -16,7 +16,9 @@ from slicehankel.quat import (
 from slicehankel.series import (
     SliceLaurentSeries,
     _cos_sin,
-    _grid_samples,
+    _half_samples,
+    _plus_samples,
+    _reversed,
     _sup_values,
     bmo_norm,
     conj_c,
@@ -103,7 +105,8 @@ class TestGridSamples:
         edge = (grid - 16) // 4
         f = random_series(rng, -edge, edge)
         f = f + SliceLaurentSeries({-edge: ONE, edge: ONE})
-        cos_part, sin_part = _cos_sin(_grid_samples(f, grid))
+        cos_part, sin_part = (arrays.from_pairs(*p)
+                              for p in _cos_sin(_plus_samples(f, grid)))
         for unit in (REFERENCE_UNIT, sample_sphere(rng)):
             uq = np.array(unit.as_quaternion().components())
             got = cos_part + arrays.mul(uq, sin_part)
@@ -119,9 +122,10 @@ class TestGridSamples:
         # grid to the bit, and both rows match the scalar oracle
         rng = np.random.default_rng(13)
         f = random_series(rng, -7, 7)
-        samples = _grid_samples(f, grid)
-        assert np.array_equal(samples[2:], samples[:2, -np.arange(grid) % grid])
-        for sign, pairs in ((1.0, samples[:2]), (-1.0, samples[2:])):
+        plus = _plus_samples(f, grid)
+        minus = _reversed(plus)
+        assert np.array_equal(minus, plus[:, -np.arange(grid) % grid])
+        for sign, pairs in ((1.0, plus), (-1.0, minus)):
             want = np.array([
                 evaluate(f, BoundaryPoint(REFERENCE_UNIT, sign * 2.0 * math.pi * k / grid))
                 .components() for k in range(grid)])
@@ -130,9 +134,9 @@ class TestGridSamples:
 
     def test_aliasing_support_rejected(self):
         ok = SliceLaurentSeries({-8: ONE, 7: I})
-        assert _grid_samples(ok, 16).shape == (4, 16)
+        assert _plus_samples(ok, 16).shape == (2, 16)
         with pytest.raises(ValueError, match="aliases"):
-            _grid_samples(SliceLaurentSeries({-8: ONE, 8: I}), 16)
+            _plus_samples(SliceLaurentSeries({-8: ONE, 8: I}), 16)
 
 
 class TestRepresentationFormula:
@@ -286,18 +290,45 @@ class TestSupNorms:
             assert closed == pytest.approx(best, rel=1e-2)
 
     def test_sup_values_is_bit_exact(self):
-        def reference(ap, bp, am, bm):
-            s1, s2 = np.abs(ap) ** 2, np.abs(am) ** 2
-            s3, s4 = np.abs(bp) ** 2, np.abs(bm) ** 2
-            base = 0.5 * (s1 + s2 + s3 + s4)
-            im_p = 0.25 * ((s2 - s1) + (s4 - s3))
-            qc = ap * bm - am * bp
-            return np.sqrt(base + 2.0 * np.sqrt(im_p ** 2 + 0.25 * np.abs(qc) ** 2))
+        def reference(res):
+            width = res.shape[1] // 2
+            ap, am = res[0, :width], res[0, width:]
+            bp, bm = res[1, :width], res[1, width:]
+            plus = np.abs(ap) ** 2 + np.abs(bp) ** 2
+            minus = np.abs(am) ** 2 + np.abs(bm) ** 2
+            d = minus - plus
+            e = np.hypot(d, 2.0 * np.abs(ap * bm - am * bp))
+            return np.sqrt((plus + minus + e) / 2)
 
         rng = np.random.default_rng(29)
-        shape = (7, 300)
-        z = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(4)]
-        assert np.array_equal(_sup_values(*z), reference(*z))
+        shape = (2, 2 * 300)
+        res = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.array_equal(_sup_values(res), reference(res))
+
+    @pytest.mark.parametrize("grid", [250, 251, 256])
+    def test_sup_values_even_in_t(self, grid):
+        # swapping the + and - samples leaves the sup to the bit, so the
+        # half grid k = 0 .. grid // 2 gives the full grid's max exactly
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            f = random_series(rng, -7, 7)
+            plus = _plus_samples(f, grid)
+            full = _sup_values(np.concatenate([plus, _reversed(plus)], axis=1))
+            assert np.array_equal(full, _reversed(full))
+            half = _sup_values(_half_samples(plus))
+            assert np.array_equal(half, full[:grid // 2 + 1])
+            assert linf_norm(f, grid) == np.max(full)
+
+    def test_linf_scales_exactly_by_powers_of_two(self):
+        # no fourth powers of the samples: 2^e f stays clear of overflow and
+        # underflow, and every step of the sup scales by 2^e to the bit
+        rng = np.random.default_rng(32)
+        for e in (200, -200, 300, -300):
+            for _ in range(20):
+                f = random_series(rng)
+                scaled = SliceLaurentSeries(
+                    {n: a * 2.0 ** e for n, a in f.coeffs.items()})
+                assert linf_norm(scaled, 1024) == 2.0 ** e * linf_norm(f, 1024)
 
     def test_linf_of_constant_and_monomial(self):
         c = Quaternion(3, 0, 4, 0)
@@ -351,7 +382,8 @@ def bmo_norm_loop(f, n_units=64, n_arcs=8, grid=4096):
     rng = np.random.default_rng(0)
     units = [REFERENCE_UNIT] + [sample_sphere(rng) for _ in range(n_units)]
     dt = 2.0 * np.pi / grid
-    cos_part, sin_part = _cos_sin(_grid_samples(f, grid))
+    cos_part, sin_part = (arrays.from_pairs(*p)
+                          for p in _cos_sin(_plus_samples(f, grid)))
     best = 0.0
     for unit in units:
         vals = cos_part + arrays.mul(np.array(unit.as_quaternion().components()),
@@ -443,3 +475,8 @@ class TestSerialization:
             loads_series("1 1.0 0.0 0.0 0.0\n2 bogus 0 0 0\n")
         with pytest.raises(ValueError, match="line 1"):
             loads_series("1 2 3\n")
+
+    def test_duplicate_exponent_rejected(self):
+        # a second record for n = -1 must not replace the first silently
+        with pytest.raises(ValueError, match="line 3: duplicate exponent -1"):
+            loads_series("-1 1.0 0 0 0\n# again\n-1 5.0 0 0 0\n")
