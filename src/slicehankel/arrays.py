@@ -16,12 +16,6 @@ def from_pairs(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
 
 
-def mul_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a1 + a2 j)(b1 + b2 j) = (a1 b1 - a2 conj b2) + (a1 b2 + a2 conj b1) j."""
-    (a1, a2), (b1, b2) = a, b
-    return np.stack([a1 * b1 - a2 * np.conj(b2), a1 * b2 + a2 * np.conj(b1)])
-
-
 def mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product, broadcasting over leading axes."""
     pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]

@@ -2,13 +2,15 @@
 bounded-regular approximation, and an independent minimax optimizer.
 
 The constructive route realizes f = phi - (H_phi g) * g^{-*} pointwise, with g
-a maximizing vector extracted from the SVD of the complex embedding; the
-optimizer minimizes the sampled sup norm of phi - f over polynomial f as a
-linear matrix inequality, by a log-det barrier method on a working set of
-grid points grown by Remez-style exchange, and certifies its value by the
-barrier's lower bound.  For finite symbols the two routes and the Hankel norm
-must agree.  ``approximation_report`` is the one pipeline that runs all three,
-and its report checks the paper's sandwich on its numbers.
+a maximizing vector extracted from the SVD of the complex embedding; since
+g^{-*} = g^c * (g^s)^{-*} and g^s has real coefficients, the correction at p
+is the quotient (h * g^c)(p) / g^s(p), h = H_phi g.  The optimizer minimizes
+the sampled sup norm of phi - f over polynomial f as a linear matrix
+inequality, by a log-det barrier method on a working set of grid points grown
+by Remez-style exchange, and certifies its value by the barrier's lower
+bound.  For finite symbols the two routes and the Hankel norm must agree.
+``approximation_report`` is the one pipeline that runs all three, and its
+report checks the paper's sandwich on its numbers.
 
 Every Hankel matrix comes from ``hankel.hankel_from_symbol``, and all
 sampling on the boundary (the FFT grid sampler and the closed-form sphere
@@ -36,20 +38,17 @@ from .hankel import (
 from .quat import Quaternion
 from .series import (
     SliceLaurentSeries,
-    _cos_sin,
     _grid_guard,
     _half_samples,
     _plus_samples,
     _reversed,
     _sup_terms,
     _sup_values,
-    conj_c,
     dumps_series,
     l2_norm,
     linf_norm,
     project_minus,
     project_plus,
-    symmetrize,
 )
 
 __all__ = [
@@ -135,7 +134,9 @@ def constructive_best_approx(
     g: SliceLaurentSeries | None = None,
 ) -> ConstructiveResult:
     """Best bounded-regular approximation f = phi - (H_phi g) * g^{-*},
-    realized pointwise on the sampling grid.
+    realized pointwise on the sampling grid: with h = H_phi g (exact, from
+    ``apply_H``), the correction at p is (h * g^c)(p) / g^s(p), computed
+    from the samples of h and g by ``_quotient_samples``.
 
     Returns the sampled sup of |phi - f| as the distance, together with the
     negative-frequency mass of the boundary samples of f (small iff f is
@@ -174,24 +175,23 @@ def constructive_best_approx(
 
 
 def _quotient_samples(h: SliceLaurentSeries, g: SliceLaurentSeries, grid: int):
-    """(h * g^{-*})(e^{it_k}) as complex pairs (2, grid), 0 where |h| <= 1e-12
-    or |g^s| <= 1e-10, and the mask where g^s is that small and h is not.
+    """(h * g^{-*})(e^{it_k}) as complex pairs (2, grid), 0 where
+    |g^s|^2 <= 1e-20, and the mask of those points.
 
-    At p = e^{it}, (h * g^{-*})(p) = h(p) g^{-*}(e^{tK}), K = h(p)^{-1} i h(p).
-    There g^s = c + Ks with c, s real (g^s has real coefficients: its samples
-    are c + is) and g^c = C + KS, so h g^{-*} = h (cC + sS + K(cS - sC)) /
-    (c^2 + s^2), and h K = i h.
+    g^{-*} = g^c * (g^s)^{-*}, and g^s has real coefficients, so the
+    quotient is (h * g^c)(p) / g^s(p), a complex division on both pairs.  With
+    g's + samples (A+, B+), g^c has + samples (conj A-, -B+), so the star
+    product formula of the pairs gives g^s = A+ conj A- + B+ conj B- and
+    h * g^c = (hA conj A- + hB conj B-, hB A+ - hA B+).
     """
-    hp = _plus_samples(h, grid)
-    gs = _plus_samples(symmetrize(g), grid)[0]
-    cos, sin = _cos_sin(_plus_samples(conj_c(g), grid))
-    gs_sq = gs.real ** 2 + gs.imag ** 2
-    hmask = np.sum(np.abs(hp) ** 2, axis=0) <= 1e-24
-    excl = (gs_sq <= 1e-20) & ~hmask
-    gs_sq[gs_sq <= 1e-20] = 1.0
-    corr = (arrays.mul_pairs(hp, (gs.real * cos + gs.imag * sin) / gs_sq)
-            + 1j * arrays.mul_pairs(hp, (gs.real * sin - gs.imag * cos) / gs_sq))
-    corr[:, hmask | excl] = 0.0
+    ha, hb = _plus_samples(h, grid)
+    plus = _plus_samples(g, grid)
+    (ga, gb), (ma, mb) = plus, np.conj(_reversed(plus))
+    gs = ga * ma + gb * mb
+    excl = gs.real ** 2 + gs.imag ** 2 <= 1e-20
+    gs[excl] = 1.0
+    corr = np.stack([ha * ma + hb * mb, hb * ga - ha * gb]) / gs
+    corr[:, excl] = 0.0
     return corr, excl
 
 
@@ -542,8 +542,8 @@ class ApproximationReport:
 
     def check(self, tol: float = 1e-6) -> bool:
         """The always-true direction: the Hankel norm never exceeds the
-        distance realized by any analytic competitor."""
-        return self.hankel_norm <= self.distance + tol * max(1.0, self.hankel_norm)
+        distance realized by any analytic competitor, up to tol relative."""
+        return self.hankel_norm <= self.distance + tol * self.hankel_norm
 
     def sandwich(self, tol: float = 2e-2) -> list[tuple[str, float, float]]:
         """The paper's sandwich d <= ||Gamma|| <= 2d, d = ``distance`` and

@@ -9,8 +9,8 @@ with
 
     python tests/test_golden.py --regen
 
-which prints the lines that changed in each file, as a diff, to be listed
-in CHANGES.md.
+which writes every file and then prints the lines that changed in each, as
+a diff, to be listed in CHANGES.md.
 """
 
 import difflib
@@ -58,24 +58,23 @@ def test_cli_output_matches_golden(name):
 
 
 def _regenerate():
-    exits = {}
+    """Write every file first, then print the diffs, so that a reader that
+    stops early (a pipe into head) cannot leave the set half regenerated."""
+    files, exits = {}, {}
     for name, argv in sorted(CASES.items()):
-        code, out, err = _run(argv)
-        exits[name] = code
-        _write(GOLDEN / f"{name}.stdout", out)
-        _write(GOLDEN / f"{name}.stderr", err)
-    _write(GOLDEN / "exit_codes.json", (json.dumps(exits, indent=1) + "\n").encode())
-
-
-def _write(path, data):
-    """Write data to path and print the lines that changed as a diff."""
-    old = path.read_bytes() if path.exists() else b""
-    name = f"golden/{path.name}"
-    for line in difflib.unified_diff(old.decode(errors="replace").splitlines(),
-                                     data.decode(errors="replace").splitlines(),
-                                     name, name, n=0, lineterm=""):
-        print(line)
-    path.write_bytes(data)
+        exits[name], files[f"{name}.stdout"], files[f"{name}.stderr"] = _run(argv)
+    files["exit_codes.json"] = (json.dumps(exits, indent=1) + "\n").encode()
+    old = {}
+    for name, data in files.items():
+        path = GOLDEN / name
+        old[name] = path.read_bytes() if path.exists() else b""
+        path.write_bytes(data)
+    for name, data in files.items():
+        for line in difflib.unified_diff(
+                old[name].decode(errors="replace").splitlines(),
+                data.decode(errors="replace").splitlines(),
+                f"golden/{name}", f"golden/{name}", n=0, lineterm=""):
+            print(line)
 
 
 if __name__ == "__main__":

@@ -272,14 +272,17 @@ class TestConstructive:
             fine = constructive_best_approx(phi, 32, 8192)
             assert abs(fine.distance - hn) <= 5e-14 * hn
 
-    @pytest.mark.parametrize("depth", [1, 3, 40])
-    def test_quotient_samples_match_pointwise_oracle(self, depth):
+    @pytest.mark.parametrize("depth, scale", [
+        pytest.param(depth, scale, id=f"{depth}{suffix}")
+        for suffix, scale in (("", 1.0), ("-tiny", 2.0 ** -60)) for depth in (1, 3, 40)])
+    def test_quotient_samples_match_pointwise_oracle(self, depth, scale):
         # (h * g^{-*})(p) = h(p) g^{-*}(h(p)^{-1} p h(p)) at 16 grid points,
-        # at e^{it} and, through the index reversal, at e^{-it}
+        # at e^{it} and, through the index reversal, at e^{-it}; the quotient
+        # is linear in h, so a tiny h is no special case
         rng = np.random.default_rng(56)
         phi = deep_symbol(rng, depth)
         g = maximizing_vector(phi, 2 * depth + 8)
-        h = apply_H(phi, g)
+        h = apply_H(phi, g).times_right(Quaternion(scale))
         grid = 256
         corr, excl = _quotient_samples(h, g, grid)
         assert not np.any(excl)
@@ -292,6 +295,15 @@ class TestConstructive:
                     g, BoundaryPoint.from_quaternion(moved * (1.0 / abs(moved))))
                 got = Quaternion(*arrays.from_pairs(*corr[:, j]))
                 assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("k", [-43, -44])
+    def test_small_symbol_distance_equals_hankel_norm(self, k):
+        # h = H_phi g is below 1e-12 everywhere on the circle at these scales
+        phi = load_series(GOLDEN / "depth3.txt")
+        phi = SliceLaurentSeries({n: a * 2.0 ** k for n, a in phi.coeffs.items()})
+        hn = hankel_norm(phi, 64)
+        res = constructive_best_approx(phi, 64, 4096)
+        assert abs(res.distance - hn) <= 1e-12 * hn
 
     def test_gauge_invariance(self):
         rng = np.random.default_rng(54)
@@ -588,6 +600,12 @@ class TestReports:
                                                    rel=1e-12)
         assert report.constructive_distance >= report.hankel_norm
         assert report.optimized_distance >= report.hankel_norm
+
+    def test_check_is_relative_at_small_scale(self):
+        rep = verify_nehari_bounds([ONE], 16, 2, 512, 2000)
+        small = replace(rep, hankel_norm=1.3e-13, constructive_distance=1.2e-13,
+                        optimized_distance=1.25e-13)
+        assert not small.check()
 
     def test_verify_rank_one(self):
         rep = verify_nehari_bounds([ONE], 16, 2, 512, 2000)
