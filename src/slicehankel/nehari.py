@@ -1,14 +1,14 @@
 """Hankel norm of a slice symbol, maximizing vectors, the constructive best
 bounded-regular approximation, and an independent minimax optimizer.
 
-The constructive route realizes f = phi - (H_phi g) * g^{-*} pointwise, with g
-a maximizing vector extracted from the SVD of the complex embedding; since
-g^{-*} = g^c * (g^s)^{-*} and g^s has real coefficients, the correction at p
-is the quotient (h * g^c)(p) / g^s(p), h = H_phi g.  The optimizer minimizes
-the sampled sup norm of phi - f over polynomial f as a linear matrix
-inequality, by a log-det barrier method on a working set of grid points grown
-by Remez-style exchange, and certifies its value by the barrier's lower
-bound.  For finite symbols the two routes and the Hankel norm must agree.
+The constructive route realizes f = phi - (H_phi g) * g^{-*} on grid samples,
+g a maximizing vector from the SVD of the complex embedding: h = H_phi g =
+P_-(phi * g) by one FFT round trip and, as g^{-*} = g^c * (g^s)^{-*} with g^s
+real, the correction (h * g^c) / g^s.  The optimizer minimizes the sampled
+sup norm of phi - f over polynomial f as a linear matrix inequality, by a
+log-det barrier method on a working set of grid points grown by Remez-style
+exchange, and certifies its value by the barrier's lower bound.  For finite
+symbols the two routes and the Hankel norm must agree.
 ``approximation_report`` is the one pipeline that runs all three, and its
 report checks the paper's sandwich on its numbers.
 
@@ -33,7 +33,6 @@ from .hankel import (
     hankel_from_symbol,
     operator_norm,
     top_singular_pair,
-    apply_H,
 )
 from .quat import Quaternion
 from .series import (
@@ -64,6 +63,7 @@ __all__ = [
 ]
 
 _ZERO_NORM_TOL = 1e-13
+_DROP_L1 = 1e-9  # best_approx's dropped l1 mass, relative to the distance
 
 
 def _truncation_guard(phi: SliceLaurentSeries, N: int) -> None:
@@ -133,20 +133,20 @@ def constructive_best_approx(
     grid: int,
     g: SliceLaurentSeries | None = None,
 ) -> ConstructiveResult:
-    """Best bounded-regular approximation f = phi - (H_phi g) * g^{-*},
-    realized pointwise on the sampling grid: with h = H_phi g (exact, from
-    ``apply_H``), the correction at p is (h * g^c)(p) / g^s(p), computed
-    from the samples of h and g by ``_quotient_samples``.
+    """Best bounded-regular approximation f = phi - (H_phi g) * g^{-*}: phi's
+    samples at e^{it_k} less the correction of ``_quotient_samples``.
 
     Returns the sampled sup of |phi - f| as the distance, together with the
     negative-frequency mass of the boundary samples of f (small iff f is
     indeed analytic) and the fraction of grid points excluded because the
     symmetrization of g (nearly) vanishes there.  The correction is computed
-    at e^{it_k} only; at e^{-it_k} it is the same at index -k.
+    at e^{it_k} only; at e^{-it_k} it is the same at index -k.  ``best_approx``
+    drops f's smallest coefficients n >= 0 while their moduli sum to at most
+    _DROP_L1 distance: |sum q^n r_n| <= sum |r_n| bounds the sup they add.
 
     g is the maximizing vector to use.  Without it the route computes the
     Hankel norm, returns phi's analytic part for a zero operator, and
-    otherwise takes ``maximizing_vector(phi, N)``.
+    otherwise takes ``maximizing_vector(phi, N)``, which does not depend on N.
     """
     _grid_guard(phi, grid)
     _truncation_guard(phi, N)
@@ -156,7 +156,8 @@ def constructive_best_approx(
             dist = 0.0 if neg.is_zero() else linf_norm(neg, grid)
             return ConstructiveResult(project_plus(phi), dist, 0.0, 0.0, "ok")
         g = maximizing_vector(phi, N)
-    corr, excl = _quotient_samples(apply_H(phi, g), g, grid)
+    plus = _plus_samples(phi, grid)
+    corr, excl = _quotient_samples(plus, g, grid)
     excluded = excl | _reversed(excl)
     vals = _sup_values(_half_samples(corr))
     good = ~excluded[:len(vals)]
@@ -164,44 +165,43 @@ def constructive_best_approx(
     excluded_fraction = float(np.mean(excluded))
     status = "warning" if excluded_fraction > 0.01 else "ok"
 
-    # f = phi - h * g^{-*} at e^{it}, back to coefficients
-    fa, fb = np.fft.fft(_plus_samples(phi, grid) - corr) / grid
-    freqs = np.fft.fftfreq(grid, d=1.0 / grid)
-    neg = freqs < 0
-    mass = float(np.sqrt(np.sum(np.abs(fa[neg]) ** 2 + np.abs(fb[neg]) ** 2)))
-
-    best = _series_from_spectrum(fa, fb, freqs, cutoff=min(grid // 2 - 1, 8 * N))
+    # f = phi - h * g^{-*} at e^{it} to coefficients, n >= 0 in the first half
+    f, half = np.fft.fft(plus - corr) / grid, (grid + 1) // 2
+    mass = float(np.linalg.norm(f[:, half:]))
+    comps = arrays.from_pairs(*f[:, :half])
+    mods = arrays.norm(comps)
+    kept = np.argsort(mods)[np.cumsum(np.sort(mods)) > _DROP_L1 * distance]
+    best = SliceLaurentSeries(
+        {int(n): Quaternion(*comps[n]) for n in np.sort(kept)})
     return ConstructiveResult(best, distance, mass, excluded_fraction, status)
 
 
-def _quotient_samples(h: SliceLaurentSeries, g: SliceLaurentSeries, grid: int):
-    """(h * g^{-*})(e^{it_k}) as complex pairs (2, grid), 0 where
-    |g^s|^2 <= 1e-20, and the mask of those points.
+def _quotient_samples(plus: np.ndarray, g: SliceLaurentSeries, grid: int):
+    """(h * g^{-*})(e^{it_k}), h = H_phi g, as complex pairs (2, grid) from
+    phi's + samples, 0 where |g^s|^2 <= 1e-20, and the mask of those points.
 
-    g^{-*} = g^c * (g^s)^{-*}, and g^s has real coefficients, so the
-    quotient is (h * g^c)(p) / g^s(p), a complex division on both pairs.  With
-    g's + samples (A+, B+), g^c has + samples (conj A-, -B+), so the star
-    product formula of the pairs gives g^s = A+ conj A- + B+ conj B- and
-    h * g^c = (hA conj A- + hB conj B-, hB A+ - hA B+).
+    With g's + samples (A+, B+) and (mA, mB) = (conj A-, conj B-), the pair
+    star product gives phi * g = (A_phi A+ - B_phi mB, A_phi B+ + B_phi mA),
+    and zeroing its FFT bins n >= 0, 0 .. (grid + 1) // 2 - 1, gives h; g's
+    grid guard keeps phi * g out of the n < 0 bins.  g^{-*} = g^c * (g^s)^{-*}
+    with g^s real, so the quotient is (h * g^c)(p) / g^s(p) on both pairs:
+    g^s = A+ mA + B+ mB and h * g^c = (hA mA + hB mB, hB A+ - hA B+).
     """
-    ha, hb = _plus_samples(h, grid)
-    plus = _plus_samples(g, grid)
-    (ga, gb), (ma, mb) = plus, np.conj(_reversed(plus))
+    if g.n_min < 0:
+        raise ValueError("input must be supported in n >= 0")
+    _grid_guard(g, grid)
+    gplus = _plus_samples(g, grid)
+    (ga, gb), (ma, mb), (pa, pb) = gplus, np.conj(_reversed(gplus)), plus
+    h = np.stack([pa * ga - pb * mb, pa * gb + pb * ma])
+    np.fft.fft(h, out=h)
+    h[:, :(grid + 1) // 2] = 0.0
+    ha, hb = np.fft.ifft(h, out=h)
     gs = ga * ma + gb * mb
     excl = gs.real ** 2 + gs.imag ** 2 <= 1e-20
     gs[excl] = 1.0
     corr = np.stack([ha * ma + hb * mb, hb * ga - ha * gb]) / gs
     corr[:, excl] = 0.0
     return corr, excl
-
-
-def _series_from_spectrum(fa, fb, freqs, cutoff: int) -> SliceLaurentSeries:
-    mags = np.abs(fa) + np.abs(fb)
-    floor = 1e-9 * max(float(np.max(mags)), 1e-300)
-    keep = np.flatnonzero((freqs >= 0) & (freqs <= cutoff) & (mags > floor))
-    comps = arrays.from_pairs(fa[keep], fb[keep])
-    return SliceLaurentSeries(
-        {int(freqs[i]): Quaternion(*c) for i, c in zip(keep, comps)})
 
 
 # ---------------------------------------------------------------------------

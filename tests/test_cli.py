@@ -11,7 +11,7 @@ import pytest
 from slicehankel import cli
 from slicehankel.cli import ExperimentConfig, main
 from slicehankel.quat import Quaternion
-from slicehankel.series import SliceLaurentSeries, save_series
+from slicehankel.series import SliceLaurentSeries, linf_norm, loads_series, save_series
 
 FAST = ["--n", "16", "--grid", "256", "--degree", "2", "--budget", "300"]
 
@@ -232,6 +232,29 @@ class TestDistanceAndNorm:
         assert "optimizer_status: budget_exhausted" in out
         assert "optimizer_evaluations: 5" in out
         assert err.startswith("warning: ") and err.count("\n") == 1
+
+    def test_rational_symbol_at_the_depth_cap(self, tmp_path, capsys):
+        # phi_hat(-n) = lam^(n-1) c, n = 1 .. 1020, is rank one with
+        # ||H_phi|| = |c| / (1 - |lam|^2) up to a tail of |lam|^2040 ~ 1e-38
+        rng = np.random.default_rng(32)
+        v = rng.normal(size=4)
+        lam, c = Quaternion(*(0.958 * v / np.linalg.norm(v))), Quaternion(*rng.normal(size=4))
+        coeffs, a = {}, c
+        for n in range(1, 1021):
+            coeffs[-n], a = a, lam * a
+        phi = SliceLaurentSeries(coeffs)
+        path = tmp_path / "rational.txt"
+        save_series(phi, path)
+        oracle = abs(c) / (1.0 - abs(lam) ** 2)
+        code, out, _ = run(capsys, ["distance", "--symbol", str(path),
+                                    "--n", "2048", "--grid", "8192"])
+        assert code == 0
+        head, _, block = out.partition("best_approx:\n")
+        values = dict(line.split(": ", 1) for line in head.splitlines())
+        assert abs(float(values["hankel_norm"]) - oracle) <= 1e-14 * oracle
+        assert abs(float(values["constructive_distance"]) - oracle) <= 1e-12 * oracle
+        best = loads_series(block)
+        assert abs(linf_norm(phi - best, 2**18) - oracle) <= 2e-9 * oracle
 
     def test_analytic_symbol(self, tmp_path, capsys):
         path = tmp_path / "symbol.txt"

@@ -65,6 +65,12 @@ def deep_symbol(rng, depth):
     return SliceLaurentSeries(coeffs)
 
 
+def flat_symbol(rng, depth):
+    """Random symbol with every coefficient n = -depth .. -1 nonzero."""
+    return SliceLaurentSeries(
+        {-n: Quaternion(*rng.normal(size=4)) for n in range(1, depth + 1)})
+
+
 def padded_symbols(seed):
     """20 random symbols of depth 1..64, each paired with every N in
     {128, 256} that passes the truncation guard."""
@@ -277,14 +283,17 @@ class TestConstructive:
         for suffix, scale in (("", 1.0), ("-tiny", 2.0 ** -60)) for depth in (1, 3, 40)])
     def test_quotient_samples_match_pointwise_oracle(self, depth, scale):
         # (h * g^{-*})(p) = h(p) g^{-*}(h(p)^{-1} p h(p)) at 16 grid points,
-        # at e^{it} and, through the index reversal, at e^{-it}; the quotient
-        # is linear in h, so a tiny h is no special case
+        # at e^{it} and, through the index reversal, at e^{-it}, with the
+        # exact h = apply_H(phi, g) as oracle; the quotient is linear in phi,
+        # so a tiny phi is no special case (it is scaled after
+        # maximizing_vector, which refuses a Hankel norm below 1e-13)
         rng = np.random.default_rng(56)
         phi = deep_symbol(rng, depth)
         g = maximizing_vector(phi, 2 * depth + 8)
-        h = apply_H(phi, g).times_right(Quaternion(scale))
+        phi = phi.times_right(Quaternion(scale))
+        h = apply_H(phi, g)
         grid = 256
-        corr, excl = _quotient_samples(h, g, grid)
+        corr, excl = _quotient_samples(_plus_samples(phi, grid), g, grid)
         assert not np.any(excl)
         for k in range(0, grid, grid // 16):
             for sign, j in ((1.0, k), (-1.0, -k % grid)):
@@ -295,6 +304,40 @@ class TestConstructive:
                     g, BoundaryPoint.from_quaternion(moved * (1.0 / abs(moved))))
                 got = Quaternion(*arrays.from_pairs(*corr[:, j]))
                 assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_quotient_samples_refuse_negative_support(self):
+        phi = deep_symbol(np.random.default_rng(59), 3)
+        g = SliceLaurentSeries({-1: ONE, 0: ONE})
+        with pytest.raises(ValueError, match="supported in n >= 0"):
+            _quotient_samples(_plus_samples(phi, 256), g, 256)
+
+    def test_quotient_samples_refuse_aliasing_g(self):
+        # g of degree 130 on 256 points: phi * g would wrap its n >= 128
+        # part into the n < 0 bins that P_- keeps
+        phi = deep_symbol(np.random.default_rng(60), 3)
+        g = SliceLaurentSeries({0: ONE, 130: ONE})
+        with pytest.raises(ValueError, match="too coarse"):
+            _quotient_samples(_plus_samples(phi, 256), g, 256)
+
+    @pytest.mark.parametrize("depth, N, grid", [(3, 64, 4096), (16, 40, 8192),
+                                                (64, 136, 8192)])
+    def test_best_approx_attains_distance(self, depth, N, grid):
+        # the l1 cutoff moves the printed competitor's sup by at most 1e-9
+        # of the distance; the 8N cap and relative floor lost up to 5.9e-6
+        if depth == 3:
+            phi = load_series(GOLDEN / "depth3.txt")
+        else:
+            phi = flat_symbol(np.random.default_rng(61 + depth), depth)
+        hn = hankel_norm(phi, N)
+        res = constructive_best_approx(phi, N, grid)
+        assert (linf_norm(phi - res.best_approx, 2**18) - hn) / hn <= 2e-9
+
+    def test_best_approx_independent_of_truncation(self):
+        phi = flat_symbol(np.random.default_rng(62), 16)
+        coarse = constructive_best_approx(phi, 40, 8192)
+        fine = constructive_best_approx(phi, 160, 8192)
+        assert coarse.best_approx == fine.best_approx
+        assert coarse.distance == fine.distance
 
     @pytest.mark.parametrize("k", [-43, -44])
     def test_small_symbol_distance_equals_hankel_norm(self, k):
