@@ -20,13 +20,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import arrays
-from .quat import (
-    REFERENCE_UNIT,
-    BoundaryPoint,
-    ImaginaryUnit,
-    Quaternion,
-    sample_sphere,
-)
+from .quat import BoundaryPoint, ImaginaryUnit, Quaternion
 
 __all__ = [
     "SliceLaurentSeries",
@@ -195,13 +189,6 @@ def _half_samples(plus: np.ndarray) -> np.ndarray:
     -k): the layout of _sup_values, which covers the grid as the sup is even."""
     k = np.arange(plus.shape[-1] // 2 + 1)
     return plus.take(np.concatenate([k, -k % plus.shape[-1]]), axis=-1)
-
-
-def _cos_sin(plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C = sum cos(n t_k) a_n and S = sum sin(n t_k) a_n as complex pairs
-    (2, grid), from the + samples: f(e^{t_k J}) = C + J S on every slice J."""
-    minus = _reversed(plus)
-    return (plus + minus) / 2, (plus - minus) / 2j
 
 
 def extend_from_slice(
@@ -392,45 +379,38 @@ def linf_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
 # ---------------------------------------------------------------------------
 
 
-def bmo_norm(
-    f: SliceLaurentSeries,
-    n_units: int = 64,
-    n_arcs: int = 8,
-    grid: int = 4096,
-) -> float:
-    """Sampled mean-oscillation sup over slices and dyadic arcs.
+def bmo_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
+    """L2 (Garsia) mean oscillation sup (mean_I |f_J - mean_I f_J|^2)^{1/2},
+    exact over the slices J, over the grid arcs I of every dyadic length
+    grid >> m >= 4 at every start (wrapping); a lower bound in t.
 
-    Slices: the reference slice plus ``n_units`` deterministic sphere samples.
-    Arcs: lengths 2 pi 2^{-m} for m = 0..n_arcs, offsets at half-arc spacing,
-    wrap-around included.  Inner integrals use the trapezoid rule on the
-    sample grid, so the value is a lower bound of the true BMO norm.
+    mean_I Q(x) - Q(mean_I x) = mean_I Q(x - mean_I x) for every quadratic
+    form Q, and plus + minus, d and qc of _sup_terms are quadratic forms in
+    the samples, so the sphere-sup formula on these differences is the sup
+    over J of an arc's oscillation.  Prefix sums make every arc mean O(1).
+    The n = 0 coefficient is dropped first: oscillation ignores constants,
+    and their squares would only add cancellation.
     """
-    if n_units < 0 or n_arcs < 0 or grid < 16:
-        raise ValueError("sampling parameters must be positive")
-    rng = np.random.default_rng(0)
-    units = [REFERENCE_UNIT] + [sample_sphere(rng) for _ in range(n_units)]
-    dt = 2.0 * np.pi / grid
-    cos_part, sin_part = (arrays.from_pairs(*p)
-                          for p in _cos_sin(_plus_samples(f, grid)))
-    best = 0.0
-    for unit in units:
-        vals = cos_part + arrays.mul(np.array(unit.as_quaternion().components()),
-                                     sin_part)
-        # two periods hold every wrapped window start..start + npts
-        wrapped = np.concatenate([vals, vals], axis=0)
-        for m in range(n_arcs + 1):
-            npts = grid >> m
-            if npts < 4:
-                break
-            length = npts * dt
-            step = max(1, npts // 2)
-            # every window of the level at once: shape (windows, 4, npts + 1)
-            windows = np.lib.stride_tricks.sliding_window_view(
-                wrapped, npts + 1, axis=0)[:grid:step]
-            mean = np.trapezoid(windows, dx=dt, axis=2) / length
-            dev = np.sqrt(np.sum((windows - mean[:, :, None]) ** 2, axis=1))
-            best = max(best, float(np.max(np.trapezoid(dev, dx=dt, axis=1))) / length)
-    return best
+    _grid_guard(f, grid)
+    f = SliceLaurentSeries({n: a for n, a in f.coeffs.items() if n != 0})
+    if f.is_zero():
+        return 0.0
+    plus = _plus_samples(f, grid)
+    res = np.concatenate([plus, _reversed(plus)], axis=-1)
+    total, d, _, qc = _sup_terms(res)
+    # rows A+, A-, B+, B-, plus + minus, d, qc over two periods, prefix-summed
+    rows = np.concatenate([res.reshape(4, grid), [total, d, qc]])
+    prefix = np.zeros((7, 2 * grid + 1), dtype=complex)
+    np.cumsum(np.tile(rows, 2), axis=-1, out=prefix[:, 1:])
+    npts, level_max = grid, []
+    while npts >= 4:
+        mean = (prefix[:, npts:npts + grid] - prefix[:, :grid]) / npts
+        total_m, d_m, _, qc_m = _sup_terms(mean[:4].reshape(2, 2 * grid))
+        level_max.append(np.max(mean[4].real - total_m + np.hypot(
+            mean[5].real - d_m, 2.0 * np.abs(mean[6] - qc_m))))
+        npts //= 2
+    # np.max keeps a NaN from overflowed squares, where max() would drop it
+    return float(np.sqrt(np.max(level_max) / 2))
 
 
 # ---------------------------------------------------------------------------

@@ -322,13 +322,9 @@ def test_criterion_7_bmo(capsys):
     worst = -math.inf
     for _ in range(200):
         f = random_series(rng, 0, 6, mag=2.0)
-        excess = bmo_norm(f, n_units=3, n_arcs=5, grid=256) \
-            - 2.0 * linf_norm(f, 256) - 1e-9
+        excess = bmo_norm(f, grid=256) - 2.0 * linf_norm(f, 256) - 1e-9
         worst = max(worst, excess)
-    const = bmo_norm(
-        SliceLaurentSeries.constant(Quaternion(1, 2, 3, 4)),
-        n_units=3, n_arcs=5, grid=256,
-    )
+    const = bmo_norm(SliceLaurentSeries.constant(Quaternion(1, 2, 3, 4)), grid=256)
     ok = worst <= 0.0 and const <= 1e-12
     report(
         capsys, 7, ok,

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicehankel import arrays
 from slicehankel.quat import (
@@ -15,7 +17,6 @@ from slicehankel.quat import (
 )
 from slicehankel.series import (
     SliceLaurentSeries,
-    _cos_sin,
     _half_samples,
     _plus_samples,
     _reversed,
@@ -41,6 +42,17 @@ from slicehankel.series import (
 ONE = Quaternion(1.0)
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
+
+
+# components 0 or 2^-20 .. 8 in modulus, so no square under- or overflows:
+# properties below are not about the scale of a symbol
+_component = st.floats(-8.0, 8.0).map(lambda x: x if abs(x) >= 2.0 ** -20 else 0.0)
+_symbol = st.dictionaries(
+    st.integers(-8, 8), st.builds(Quaternion, _component, _component, _component, _component),
+    max_size=17,
+).map(SliceLaurentSeries)
+_unit = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda c: math.hypot(*c) >= 0.1).map(lambda c: Quaternion(*c) * (1.0 / math.hypot(*c)))
 
 
 def random_series(rng, lo=-4, hi=4, scale=1.0):
@@ -105,8 +117,10 @@ class TestGridSamples:
         edge = (grid - 16) // 4
         f = random_series(rng, -edge, edge)
         f = f + SliceLaurentSeries({-edge: ONE, edge: ONE})
-        cos_part, sin_part = (arrays.from_pairs(*p)
-                              for p in _cos_sin(_plus_samples(f, grid)))
+        plus = _plus_samples(f, grid)
+        minus = _reversed(plus)
+        cos_part = arrays.from_pairs(*(plus + minus) / 2)
+        sin_part = arrays.from_pairs(*(plus - minus) / 2j)
         for unit in (REFERENCE_UNIT, sample_sphere(rng)):
             uq = np.array(unit.as_quaternion().components())
             got = cos_part + arrays.mul(uq, sin_part)
@@ -367,8 +381,9 @@ class TestSupNorms:
 
     def test_grid_guard(self):
         f = SliceLaurentSeries({40: ONE})
-        with pytest.raises(ValueError):
-            linf_norm(f, 64)
+        for norm in (linf_norm, bmo_norm):
+            with pytest.raises(ValueError):
+                norm(f, 64)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(25)
@@ -377,80 +392,130 @@ class TestSupNorms:
         assert linf_norm(f + g, 1024) <= linf_norm(f, 1024) + linf_norm(g, 1024) + 1e-12
 
 
-def bmo_norm_loop(f, n_units=64, n_arcs=8, grid=4096):
-    """The window-by-window bmo_norm that the per-level code replaced."""
-    rng = np.random.default_rng(0)
-    units = [REFERENCE_UNIT] + [sample_sphere(rng) for _ in range(n_units)]
-    dt = 2.0 * np.pi / grid
-    cos_part, sin_part = (arrays.from_pairs(*p)
-                          for p in _cos_sin(_plus_samples(f, grid)))
+def bmo_arcs(grid):
+    """Index windows of the arcs bmo_norm scans: every dyadic length
+    grid >> m of at least 4 grid steps, at every start, wrapping."""
+    npts = grid
+    while npts >= 4:
+        for start in range(grid):
+            yield (start + np.arange(npts)) % grid
+        npts //= 2
+
+
+def slice_samples(f, unit, idx, grid):
+    return np.array([evaluate(f, BoundaryPoint(unit, 2.0 * math.pi * k / grid)).components()
+                     for k in idx])
+
+
+def mean_oscillation(vals):
+    """mean |f - f_I|^2 over the (npts, 4) samples of one arc."""
+    return float(np.mean(np.sum((vals - vals.mean(axis=0)) ** 2, axis=1)))
+
+
+def bmo_brute_force(f, grid):
+    """Max over bmo_norm's arcs of the L2 oscillation on each arc's
+    maximizing slice J* = v/|v|, v = mean_I Im(C~ conj S~), where
+    f(e^{tJ}) = C + J S and ~ centres on the arc; all values from evaluate."""
+    idx = np.arange(grid)
+    fp = slice_samples(f, REFERENCE_UNIT, idx, grid)
+    fm = slice_samples(f, REFERENCE_UNIT, -idx, grid)
+    cos_part = (fp + fm) / 2
+    sin_part = arrays.mul(np.array([0.0, -1.0, 0.0, 0.0]), (fp - fm) / 2)
+    conj = np.array([1.0, -1.0, -1.0, -1.0])
     best = 0.0
-    for unit in units:
-        vals = cos_part + arrays.mul(np.array(unit.as_quaternion().components()),
-                                     sin_part)
-        ext = np.concatenate([vals, vals[:1]], axis=0)
-        for m in range(n_arcs + 1):
-            npts = grid >> m
-            if npts < 4:
-                break
-            length = npts * dt
-            step = max(1, npts // 2)
-            for start in range(0, grid, step):
-                idx = (start + np.arange(npts + 1)) % grid
-                window = ext[idx]
-                mean = np.trapezoid(window, dx=dt, axis=0) / length
-                dev = np.sqrt(np.sum((window - mean) ** 2, axis=1))
-                osc = float(np.trapezoid(dev, dx=dt) / length)
-                if osc > best:
-                    best = osc
-    return best
+    for arc in bmo_arcs(grid):
+        c = cos_part[arc] - cos_part[arc].mean(axis=0)
+        s = sin_part[arc] - sin_part[arc].mean(axis=0)
+        v = arrays.mul(c, s * conj).mean(axis=0)[1:]
+        size = np.linalg.norm(v)
+        unit = ImaginaryUnit(*(v / size)) if size > 0.0 else REFERENCE_UNIT
+        best = max(best, mean_oscillation(slice_samples(f, unit, arc, grid)))
+    return math.sqrt(best)
+
+
+_BMO_SYMBOLS = {
+    "five-terms": lambda rng: SliceLaurentSeries(
+        {n: Quaternion(*rng.normal(size=4)) for n in range(-2, 3)}),
+    "laurent": lambda rng: random_series(rng, -4, 4),
+    "analytic": lambda rng: random_series(rng, 0, 11, scale=3.0),
+}
 
 
 class TestBmo:
-    @pytest.mark.parametrize("terms, n_units, n_arcs, grid", [
-        (5, 3, 8, 1024),
-        (50, 2, 6, 1000),
-        (50, 0, 12, 4096),
-        (5, 4, 3, 17),
-    ])
-    def test_matches_window_loop(self, terms, n_units, n_arcs, grid):
-        rng = np.random.default_rng(29)
-        f = SliceLaurentSeries(
-            {n: Quaternion(*rng.normal(size=4)) for n in range(-terms // 2, terms - terms // 2)})
-        got = bmo_norm(f, n_units=n_units, n_arcs=n_arcs, grid=grid)
-        ref = bmo_norm_loop(f, n_units=n_units, n_arcs=n_arcs, grid=grid)
-        assert abs(got - ref) <= 1e-14 * ref
+    # grid 25: the five-term support -2..2 needs grid >= 24; arcs of 25, 12, 6
+    @pytest.mark.parametrize("symbol, grid", [
+        (symbol, grid) for symbol in sorted(_BMO_SYMBOLS) for grid in (64, 63)
+    ] + [("five-terms", 25)])
+    def test_matches_brute_force_oracle(self, symbol, grid):
+        f = _BMO_SYMBOLS[symbol](np.random.default_rng(29))
+        ref = bmo_brute_force(f, grid)
+        assert abs(bmo_norm(f, grid) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("grid", [64, 63])
+    def test_random_slices_stay_below(self, grid):
+        rng = np.random.default_rng(31)
+        f = random_series(rng, -5, 5)
+        value = bmo_norm(f, grid)
+        for _ in range(50):
+            vals = slice_samples(f, sample_sphere(rng), range(grid), grid)
+            osc = max(mean_oscillation(vals[arc]) for arc in bmo_arcs(grid))
+            assert math.sqrt(osc) <= value * (1 + 1e-12)
+
+    def test_constant_shift_exact(self):
+        rng = np.random.default_rng(32)
+        for _ in range(5):
+            f = random_series(rng)
+            c = SliceLaurentSeries.constant(Quaternion(*rng.normal(size=4)))
+            assert bmo_norm(f + c, 256) == bmo_norm(f, 256)
+
+    def test_scales_exactly_by_powers_of_two(self):
+        f = random_series(np.random.default_rng(33))
+        for e in (300, -300):
+            scaled = SliceLaurentSeries(
+                {n: a * 2.0 ** e for n, a in f.coeffs.items()})
+            assert bmo_norm(scaled, 1024) == 2.0 ** e * bmo_norm(f, 1024)
+
+    def test_overflow_is_not_finite(self):
+        f = SliceLaurentSeries({n: a * 2.0 ** 600 for n, a in
+                                random_series(np.random.default_rng(34)).coeffs.items()})
+        with np.errstate(all="ignore"):
+            assert not math.isfinite(bmo_norm(f, 256))
+
+    def test_memory_independent_of_support(self):
+        rng = np.random.default_rng(30)
+        f = SliceLaurentSeries({n: Quaternion(*rng.normal(size=4)) for n in range(500)})
+        tracemalloc.start()
+        try:
+            value = bmo_norm(f, 2**13)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+        assert value > 0.0
 
     def test_constant_has_zero_oscillation(self):
         f = SliceLaurentSeries.constant(Quaternion(2, 1, -1, 3))
-        assert bmo_norm(f, n_units=4, n_arcs=4, grid=256) <= 1e-12
+        assert bmo_norm(f, grid=256) <= 1e-12
 
     def test_bounded_by_twice_sup(self):
         rng = np.random.default_rng(26)
         for _ in range(10):
             f = random_series(rng, 0, 4)
-            assert bmo_norm(f, n_units=4, n_arcs=6, grid=256) \
-                <= 2.0 * linf_norm(f, 256) + 1e-9
+            assert bmo_norm(f, grid=256) <= 2.0 * linf_norm(f, 256) + 1e-9
 
     def test_positive_for_oscillating_function(self):
         f = SliceLaurentSeries({1: ONE})
-        assert bmo_norm(f, n_units=2, n_arcs=4, grid=256) > 0.1
+        assert bmo_norm(f, grid=256) > 0.1
 
-    def test_honours_n_arcs_beyond_eight(self, monkeypatch):
-        f = random_series(np.random.default_rng(28), 0, 40)
-        calls = []
-        trapezoid = np.trapezoid
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return trapezoid(*args, **kwargs)
-
-        monkeypatch.setattr(np, "trapezoid", counting)
-        coarse = bmo_norm(f, n_units=0, n_arcs=8, grid=16384)
-        coarse_calls = len(calls)
-        fine = bmo_norm(f, n_units=0, n_arcs=12, grid=16384)
-        assert fine >= coarse
-        assert len(calls) - coarse_calls > coarse_calls
+    @settings(max_examples=60, deadline=None)
+    @given(_symbol, st.integers(64, 256), _unit)
+    def test_below_linf_and_unit_invariant(self, f, grid, u):
+        # a mean of |f_J|^2 over grid points is at most the grid's sphere sup
+        # squared (up to the rounding of the means: a monomial's bmo and linf
+        # are equal); |f_J u| = |f_J| and (f u)_I = f_I u on every slice J
+        value = bmo_norm(f, grid)
+        assert value <= linf_norm(f, grid) * (1 + 1e-12)
+        assert abs(bmo_norm(f.times_right(u), grid) - value) <= 1e-12 * value
 
 
 class TestSerialization:
