@@ -188,20 +188,18 @@ def _verify_rows(config: ExperimentConfig) -> list[tuple]:
         phi = _random_series(rng, -3, 3)
         if phi.n_min >= 0:
             phi = phi + SliceLaurentSeries({-1: Quaternion(*rng.normal(size=4))})
-        hn = hankel_norm(phi, config.truncation_N)
+        hn = hankel_norm(phi)
         rows.append(
             ("nehari", "norm_below_symbol_sup", seed, hn,
              linf_norm(phi, config.grid) * (1.0 + 1e-9))
         )
-        gmax = maximizing_vector(phi, config.truncation_N)
+        gmax = maximizing_vector(phi)
         achieved = l2_norm(apply_H(phi, gmax))
         rows.append(("nehari", "maximizer_attains_norm", seed, hn,
                      achieved * (1.0 + 1e-8)))
 
         alpha3 = [Quaternion(*rng.normal(size=4)) for _ in range(3)]
-        rep = verify_nehari_bounds(
-            alpha3, config.truncation_N, config.degree, config.grid, config.budget,
-        )
+        rep = verify_nehari_bounds(alpha3, config.degree, config.grid, config.budget)
         rows += [("nehari", check, seed, measured, bound)
                  for check, measured, bound in rep.sandwich()]
     return rows
@@ -240,9 +238,7 @@ def _load_symbol(path: str) -> SliceLaurentSeries:
 
 def cmd_distance(config: ExperimentConfig, symbol_path: str) -> int:
     phi = _load_symbol(symbol_path)
-    report = approximation_report(
-        phi, config.truncation_N, config.grid, config.degree, config.budget,
-    )
+    report = approximation_report(phi, config.grid, config.degree, config.budget)
     _emit(report.to_text(), config.output_path)
     if report.optimizer_status == "budget_exhausted":
         print(f"warning: optimizer unconverged after its budget of "
@@ -252,7 +248,7 @@ def cmd_distance(config: ExperimentConfig, symbol_path: str) -> int:
 
 def cmd_norm(config: ExperimentConfig, symbol_path: str) -> int:
     phi = _load_symbol(symbol_path)
-    hn = hankel_norm(phi, config.truncation_N)
+    hn = hankel_norm(phi)
     sup = linf_norm(phi, config.grid)
     _emit(f"hankel_norm: {hn!r}\nlinf_norm: {sup!r}\n", config.output_path)
     return 0
@@ -285,10 +281,9 @@ def cmd_hilbert(config: ExperimentConfig) -> int:
 def cmd_demo(config: ExperimentConfig) -> int:
     c = Quaternion(0.6, 0.0, 0.8, 0.0)
     phi = SliceLaurentSeries({-1: c})
-    n = max(16, config.truncation_N)
-    rep = approximation_report(phi, n, config.grid, config.degree,
+    rep = approximation_report(phi, config.grid, config.degree,
                                min(config.budget, 5000))
-    g = maximizing_vector(phi, n)
+    g = maximizing_vector(phi)
     lines = [
         "# rank-one worked example",
         "# symbol: single negative coefficient at n = -1 with |c| = 1",
@@ -323,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int)
     shared.add_argument("--n", type=int, dest="truncation_N",
-                        help="Hankel truncation size")
+                        help="largest size of the hilbert table")
     shared.add_argument("--grid", type=int)
     shared.add_argument("--degree", type=int)
     shared.add_argument("--budget", type=int)

@@ -66,40 +66,37 @@ _ZERO_NORM_TOL = 1e-13
 _DROP_L1 = 1e-9  # best_approx's dropped l1 mass, relative to the distance
 
 
-def _truncation_guard(phi: SliceLaurentSeries, N: int) -> None:
-    """Refuse a truncation N too small for the negative support depth
-    -n_min, which would cut part of the symbol off the matrix."""
-    need = 2 * max(0, -phi.n_min) + 8
-    if N < need:
-        raise ValueError(f"truncation {N} below guard {need}")
+def _block_size(phi: SliceLaurentSeries) -> int:
+    """The size k of the block holding every nonzero entry of H_phi, since
+    entry (j, l) = phi_hat(-1-j-l) vanishes once j + l >= -n_min; k = -n_min,
+    or 1 (a zero block) for an analytic symbol."""
+    return max(1, -phi.n_min)
 
 
 def _hankel_block(phi: SliceLaurentSeries) -> HankelMatrix:
-    """The k x k block holding every nonzero entry of H_phi, since entry
-    (j, l) = phi_hat(-1-j-l) vanishes once j + l >= -n_min; k = -n_min, or a
-    1 x 1 zero block for an analytic symbol."""
-    return hankel_from_symbol(phi, max(1, -phi.n_min))
+    """The k x k block of nonzero entries of H_phi, k = ``_block_size``."""
+    return hankel_from_symbol(phi, _block_size(phi))
 
 
-def hankel_norm(phi: SliceLaurentSeries, N: int) -> float:
+def hankel_norm(phi: SliceLaurentSeries, N: int | None = None) -> float:
     """Operator norm of the Hankel operator of phi.
 
-    The SVD runs on the k x k block of nonzero entries, k = -n_min, so the
-    cost does not grow with N; N only has to pass the truncation guard.
+    The SVD runs on the k x k block of nonzero entries, k = -n_min, which
+    any N x N truncation with N >= k only pads with zeros.  N is unused,
+    and kept only because existing callers pass it.
     """
-    _truncation_guard(phi, N)
     return operator_norm(_hankel_block(phi))
 
 
-def maximizing_vector(phi: SliceLaurentSeries, N: int) -> SliceLaurentSeries:
+def maximizing_vector(phi: SliceLaurentSeries,
+                      N: int | None = None) -> SliceLaurentSeries:
     """Unit g in the Hardy space with ||H_phi g|| = ||H_phi|| (up to SVD
     tolerance), from the top right singular vector of the embedded k x k
     block of nonzero entries (dense SVD up to 96, the Lanczos Ritz vector
-    above); N only has to pass the truncation guard.
+    above).  N is unused, and kept only because existing callers pass it.
 
     g is defined up to a right unit-quaternion factor; the gauge fixed here
     makes its lowest nonzero coefficient real and positive."""
-    _truncation_guard(phi, N)
     sigma, v = top_singular_pair(_hankel_block(phi))
     if sigma <= _ZERO_NORM_TOL:
         raise ValueError("zero operator has no maximizing vector")
@@ -129,7 +126,7 @@ class ConstructiveResult:
 
 def constructive_best_approx(
     phi: SliceLaurentSeries,
-    N: int,
+    N: int | None,
     grid: int,
     g: SliceLaurentSeries | None = None,
 ) -> ConstructiveResult:
@@ -146,16 +143,16 @@ def constructive_best_approx(
 
     g is the maximizing vector to use.  Without it the route computes the
     Hankel norm, returns phi's analytic part for a zero operator, and
-    otherwise takes ``maximizing_vector(phi, N)``, which does not depend on N.
+    otherwise takes ``maximizing_vector(phi)``.  N is unused, and kept only
+    because existing callers pass it.
     """
     _grid_guard(phi, grid)
-    _truncation_guard(phi, N)
     if g is None:
-        if hankel_norm(phi, N) <= _ZERO_NORM_TOL:
+        if hankel_norm(phi) <= _ZERO_NORM_TOL:
             neg = project_minus(phi)
             dist = 0.0 if neg.is_zero() else linf_norm(neg, grid)
             return ConstructiveResult(project_plus(phi), dist, 0.0, 0.0, "ok")
-        g = maximizing_vector(phi, N)
+        g = maximizing_vector(phi)
     plus = _plus_samples(phi, grid)
     corr, excl = _quotient_samples(plus, g, grid)
     excluded = excl | _reversed(excl)
@@ -526,7 +523,7 @@ class ApproximationReport:
     constructive_distance: float
     optimized_distance: float
     residual_negative_mass: float
-    truncation_N: int
+    hankel_block: int
     grid: int
     optimizer_status: str
     optimizer_evaluations: int
@@ -570,17 +567,17 @@ class ApproximationReport:
 
 def approximation_report(
     phi: SliceLaurentSeries,
-    N: int,
     grid: int,
     degree: int,
     budget: int,
 ) -> ApproximationReport:
     """The distance pipeline: hankel_norm, then constructive_best_approx
     (with the maximizing vector of a nonzero operator), then
-    optimize_distance, with the better competitor as ``best_approx``."""
-    hn = hankel_norm(phi, N)
-    g = maximizing_vector(phi, N) if hn > _ZERO_NORM_TOL else None
-    cons = constructive_best_approx(phi, N, grid, g)
+    optimize_distance, with the better competitor as ``best_approx``.
+    ``hankel_block`` is the size k of the Hankel block that was read."""
+    hn = hankel_norm(phi)
+    g = maximizing_vector(phi) if hn > _ZERO_NORM_TOL else None
+    cons = constructive_best_approx(phi, None, grid, g)
     opt = optimize_distance(phi, degree, grid, budget)
     best = cons.best_approx if cons.distance <= opt.distance else opt.best_approx
     return ApproximationReport(
@@ -588,7 +585,7 @@ def approximation_report(
         constructive_distance=cons.distance,
         optimized_distance=opt.distance,
         residual_negative_mass=cons.residual_negative_mass,
-        truncation_N=N,
+        hankel_block=_block_size(phi),
         grid=grid,
         optimizer_status=opt.status,
         optimizer_evaluations=opt.evaluations,
@@ -601,7 +598,6 @@ def approximation_report(
 
 def verify_nehari_bounds(
     alpha: Sequence[Quaternion],
-    N: int,
     degree: int,
     grid: int,
     budget: int,
@@ -609,9 +605,9 @@ def verify_nehari_bounds(
     """The ``approximation_report`` of the symbol phi with
     phi_hat(-1-m) = alpha(m), whose ``sandwich`` checks
     d <= ||Gamma_alpha|| <= 2d.  ||Gamma_alpha|| is its ``hankel_norm``,
-    since the N-truncation is the k x k block of nonzero entries padded with
-    zeros."""
+    since every N x N section with N >= k is the k x k block of nonzero
+    entries padded with zeros."""
     phi = SliceLaurentSeries(
         {-1 - m: a for m, a in enumerate(alpha) if a.norm_sq() != 0.0}
     )
-    return approximation_report(phi, N, grid, degree, budget)
+    return approximation_report(phi, grid, degree, budget)

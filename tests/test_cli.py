@@ -13,7 +13,8 @@ from slicehankel.cli import ExperimentConfig, main
 from slicehankel.quat import Quaternion
 from slicehankel.series import SliceLaurentSeries, linf_norm, loads_series, save_series
 
-FAST = ["--n", "16", "--grid", "256", "--degree", "2", "--budget", "300"]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FAST = ["--grid", "256", "--degree", "2", "--budget", "300"]
 
 
 def run(capsys, argv):
@@ -150,7 +151,7 @@ class TestConfig:
         path = tmp_path / "deep.txt"
         save_series(SliceLaurentSeries({-1025: Quaternion(1.0)}), path)
         for command in ("norm", "distance"):
-            code, out, err = run(capsys, [command, "--symbol", str(path), "--n", "2058"])
+            code, out, err = run(capsys, [command, "--symbol", str(path)])
             assert code == 2
             assert out == ""
             assert err.startswith("error: ") and "1025" in err and "1024" in err
@@ -246,8 +247,7 @@ class TestDistanceAndNorm:
         path = tmp_path / "rational.txt"
         save_series(phi, path)
         oracle = abs(c) / (1.0 - abs(lam) ** 2)
-        code, out, _ = run(capsys, ["distance", "--symbol", str(path),
-                                    "--n", "2048", "--grid", "8192"])
+        code, out, _ = run(capsys, ["distance", "--symbol", str(path), "--grid", "8192"])
         assert code == 0
         head, _, block = out.partition("best_approx:\n")
         values = dict(line.split(": ", 1) for line in head.splitlines())
@@ -255,6 +255,15 @@ class TestDistanceAndNorm:
         assert abs(float(values["constructive_distance"]) - oracle) <= 1e-12 * oracle
         best = loads_series(block)
         assert abs(linf_norm(phi - best, 2**18) - oracle) <= 2e-9 * oracle
+
+    def test_report_states_hankel_block(self, tmp_path, capsys):
+        # the block read is the symbol's depth, 1 for an analytic symbol
+        analytic = tmp_path / "analytic.txt"
+        save_series(SliceLaurentSeries({0: Quaternion(1.0)}), analytic)
+        for path, block in ((GOLDEN / "depth3.txt", "3"), (analytic, "1")):
+            code, out, _ = run(capsys, ["distance", "--symbol", str(path), *FAST])
+            assert code == 0
+            assert f"\nhankel_block: {block}\n" in out
 
     def test_analytic_symbol(self, tmp_path, capsys):
         path = tmp_path / "symbol.txt"

@@ -72,13 +72,14 @@ def flat_symbol(rng, depth):
 
 
 def padded_symbols(seed):
-    """20 random symbols of depth 1..64, each paired with every N in
-    {128, 256} that passes the truncation guard."""
+    """20 random symbols of depth 1..64, each paired with the N x N sections
+    N = depth, depth + 1, 128 and 256."""
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(20):
-        phi = deep_symbol(rng, int(rng.integers(1, 65)))
-        cases += [(phi, N) for N in (128, 256) if N >= 2 * -phi.n_min + 8]
+        depth = int(rng.integers(1, 65))
+        phi = deep_symbol(rng, depth)
+        cases += [(phi, N) for N in (depth, depth + 1, 128, 256)]
     return cases
 
 
@@ -101,50 +102,30 @@ class TestHankelNorm:
         phi = SliceLaurentSeries({-1: ONE, -2: ONE})
         assert hankel_norm(phi, 16) == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
 
-    def test_truncation_independent_for_finite_symbols(self):
-        rng = np.random.default_rng(50)
-        for _ in range(10):
-            phi = random_symbol(rng)
-            assert abs(hankel_norm(phi, 16) - hankel_norm(phi, 32)) <= 1e-12
-
-    def test_truncation_guard(self):
-        phi = SliceLaurentSeries({-n: ONE for n in range(1, 6)})
-        with pytest.raises(ValueError):
-            hankel_norm(phi, 10)
-
-    def test_truncation_guard_measures_depth(self):
-        # one coefficient at depth 30: a count-based guard let N = 10 through
-        # and the truncated matrix was zero, so the norm read 0.0
+    def test_block_measured_by_depth(self):
+        # one coefficient at depth 30: a block sized by the count of
+        # coefficients would be 1 x 1 and zero, so the norm would read 0.0
         phi = SliceLaurentSeries({-30: ONE})
-        for call in (
-            lambda: hankel_norm(phi, 10),
-            lambda: maximizing_vector(phi, 10),
-            lambda: constructive_best_approx(phi, 10, 512),
-        ):
-            with pytest.raises(ValueError, match="below guard 68"):
-                call()
-        assert hankel_norm(phi, 68) == pytest.approx(1.0, abs=1e-12)
+        assert hankel_norm(phi) == 1.0
 
     def test_block_matches_padded_oracle(self):
         for phi, N in padded_symbols(53):
             padded = complex_embed(hankel_from_symbol(phi, N))
             ref = float(np.linalg.svd(padded, compute_uv=False)[0])
-            assert abs(hankel_norm(phi, N) - ref) <= 1e-12 * max(1.0, ref)
+            assert abs(hankel_norm(phi) - ref) <= 1e-12 * max(1.0, ref)
 
     def test_cost_independent_of_truncation(self):
-        # the SVD runs on the 3 x 3 block: a padded 2048 x 2048 complex
-        # embedding alone would take 64 MB
+        # the SVD runs on the 3 x 3 block of nonzero entries, never on a
+        # padded section: the embedding of a 1024 x 1024 one alone is 64 MB
         phi = deep_symbol(np.random.default_rng(54), 3)
         tracemalloc.start()
         try:
-            hn = hankel_norm(phi, 1024)
-            g = maximizing_vector(phi, 1024)
+            hankel_norm(phi)
+            maximizing_vector(phi)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        assert hn == hankel_norm(phi, 16)
-        assert g == maximizing_vector(phi, 16)
 
 
 class TestMaximizingVector:
@@ -190,7 +171,7 @@ class TestMaximizingVector:
             lead = v[np.argmax(mags > 1e-13 * np.max(mags))]
             v = arrays.mul(v, lead * np.array([1.0, -1.0, -1.0, -1.0]))
             v /= np.sqrt(np.sum(np.square(v)))
-            g = maximizing_vector(phi, N)
+            g = maximizing_vector(phi)
             got = np.array([g.coefficient(n).components() for n in range(N)])
             assert np.max(np.abs(got - v)) <= 1e-9
 
@@ -331,13 +312,6 @@ class TestConstructive:
         hn = hankel_norm(phi, N)
         res = constructive_best_approx(phi, N, grid)
         assert (linf_norm(phi - res.best_approx, 2**18) - hn) / hn <= 2e-9
-
-    def test_best_approx_independent_of_truncation(self):
-        phi = flat_symbol(np.random.default_rng(62), 16)
-        coarse = constructive_best_approx(phi, 40, 8192)
-        fine = constructive_best_approx(phi, 160, 8192)
-        assert coarse.best_approx == fine.best_approx
-        assert coarse.distance == fine.distance
 
     @pytest.mark.parametrize("k", [-43, -44])
     def test_small_symbol_distance_equals_hankel_norm(self, k):
@@ -619,7 +593,7 @@ def equality_holds(rep, tol=2e-2):
 class TestReports:
     def test_report_text_has_field_keys(self):
         phi = SliceLaurentSeries({-1: ONE})
-        report = approximation_report(phi, 16, 512, 2, 2000)
+        report = approximation_report(phi, 512, 2, 2000)
         keys = [line.split(":")[0] for line in report.to_text().splitlines()
                 if not line.startswith(" ")]
         assert keys == [f.name for f in fields(ApproximationReport)]
@@ -629,7 +603,7 @@ class TestReports:
 
     def test_report_for_analytic_symbol(self):
         phi = SliceLaurentSeries({1: Quaternion(2)})
-        report = approximation_report(phi, 16, 512, 2, 2000)
+        report = approximation_report(phi, 512, 2, 2000)
         assert report.hankel_norm == 0.0
         assert report.constructive_distance == 0.0
         assert report.check()
@@ -638,27 +612,27 @@ class TestReports:
         # the sup formula has no fourth powers to underflow at size 1e-100,
         # so the realized distances stay above the Hankel norm
         phi = SliceLaurentSeries({-1: Quaternion(1e-100), -2: Quaternion(0, 0, 1e-100, 0)})
-        report = approximation_report(phi, 16, 512, 2, 2000)
+        report = approximation_report(phi, 512, 2, 2000)
         assert report.hankel_norm == pytest.approx((1 + math.sqrt(5)) / 2 * 1e-100,
                                                    rel=1e-12)
         assert report.constructive_distance >= report.hankel_norm
         assert report.optimized_distance >= report.hankel_norm
 
     def test_check_is_relative_at_small_scale(self):
-        rep = verify_nehari_bounds([ONE], 16, 2, 512, 2000)
+        rep = verify_nehari_bounds([ONE], 2, 512, 2000)
         small = replace(rep, hankel_norm=1.3e-13, constructive_distance=1.2e-13,
                         optimized_distance=1.25e-13)
         assert not small.check()
 
     def test_verify_rank_one(self):
-        rep = verify_nehari_bounds([ONE], 16, 2, 512, 2000)
+        rep = verify_nehari_bounds([ONE], 2, 512, 2000)
         assert rep.hankel_norm == pytest.approx(1.0, abs=1e-12)
         assert rep.distance == pytest.approx(1.0, abs=1e-6)
         assert sandwich_holds(rep)
         assert equality_holds(rep)
 
     def test_sandwich_rows_fail_outside_the_bounds(self):
-        rep = verify_nehari_bounds([ONE], 16, 2, 512, 2000)
+        rep = verify_nehari_bounds([ONE], 2, 512, 2000)
         for d, failing in ((1.1, "sandwich_lower"), (0.45, "sandwich_upper")):
             rows = replace(rep, constructive_distance=d, optimized_distance=d).sandwich()
             assert [check for check, m, b in rows if m > b] == [failing]
@@ -666,7 +640,7 @@ class TestReports:
     def test_verify_random_alpha(self):
         rng = np.random.default_rng(57)
         alpha = [Quaternion(*rng.normal(size=4)) for _ in range(3)]
-        rep = verify_nehari_bounds(alpha, 32, 4, 1024, 4000)
+        rep = verify_nehari_bounds(alpha, 4, 1024, 4000)
         assert sandwich_holds(rep)
         assert equality_holds(rep)
 
@@ -676,7 +650,7 @@ class TestReports:
         rng = np.random.default_rng(58)
         alpha = [Quaternion(*rng.normal(size=4)) for _ in range(2)] + [Quaternion()] * 2
         phi = SliceLaurentSeries({-1: alpha[0], -2: alpha[1]})
-        rep = verify_nehari_bounds(alpha, 16, 4, 1024, 4000)
+        rep = verify_nehari_bounds(alpha, 4, 1024, 4000)
         assert rep.hankel_norm == hankel_norm(phi, 16)
         assert sandwich_holds(rep)
 
