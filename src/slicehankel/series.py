@@ -169,14 +169,24 @@ def _plus_samples(f: SliceLaurentSeries, grid: int) -> np.ndarray:
     A+ as the unscaled inverse FFT, and B+ likewise from the beta_n.
     """
     placed = np.zeros((2, grid), dtype=complex)
-    if f.coeffs:
-        ns = np.fromiter(f.coeffs, dtype=int, count=len(f.coeffs))
-        if ns.max() - ns.min() >= grid:
-            raise ValueError(f"grid {grid} aliases the support span "
-                             f"{ns.min()}..{ns.max()}")
-        comps = np.array([a.components() for a in f.coeffs.values()])
+    # every nonzero component counts, even where norm_sq underflows; zeros
+    # are not placed, so a wrapped zero never overwrites a value
+    terms = {n: a for n, a in f.coeffs.items() if any(a.components())}
+    if terms:
+        ns = np.fromiter(terms, dtype=int, count=len(terms))
+        _grid_guard(int(np.abs(ns).max()), grid)
+        comps = np.array([a.components() for a in terms.values()])
         placed[:, ns % grid] = arrays.to_pairs(comps)
     return np.fft.ifft(placed, norm="forward")
+
+
+def _grid_guard(reach: int, grid: int) -> None:
+    """The one grid rule, grid >= 4 reach + 16, for frequencies up to
+    |n| = reach: a product of two such series, as phi * g in the
+    constructive route, stays unaliased on the grid with room to spare."""
+    if grid < 4 * reach + 16:
+        raise ValueError(f"grid {grid} too coarse for |n| up to {reach}; "
+                         f"need at least {4 * reach + 16}")
 
 
 def _reversed(v: np.ndarray) -> np.ndarray:
@@ -354,21 +364,10 @@ def _sup_values(res: np.ndarray) -> np.ndarray:
     return np.sqrt((total + e) / 2)
 
 
-def _grid_guard(f: SliceLaurentSeries, grid: int) -> None:
-    sup = f.support
-    max_idx = max(abs(sup[0]), abs(sup[-1])) if sup else 0
-    if grid < 4 * max_idx + 16:
-        raise ValueError(
-            f"grid {grid} too coarse for support up to |n| = {max_idx}; "
-            f"need at least {4 * max_idx + 16}"
-        )
-
-
 def linf_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
     """Sampled essential sup: max over the half grid k = 0 .. grid // 2 (the
     sup is even in t) of the exact sphere sup on each sphere e^{t S}.  A lower
     bound converging as the grid is refined."""
-    _grid_guard(f, grid)
     if f.is_zero():
         return 0.0
     return float(np.max(_sup_values(_half_samples(_plus_samples(f, grid)))))
@@ -391,7 +390,6 @@ def bmo_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
     The n = 0 coefficient is dropped first: oscillation ignores constants,
     and their squares would only add cancellation.
     """
-    _grid_guard(f, grid)
     f = SliceLaurentSeries({n: a for n, a in f.coeffs.items() if n != 0})
     if f.is_zero():
         return 0.0

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slicehankel import cli
+from slicehankel import cli, nehari
 from slicehankel.cli import ExperimentConfig, main
 from slicehankel.quat import Quaternion
 from slicehankel.series import SliceLaurentSeries, linf_norm, loads_series, save_series
@@ -124,8 +124,6 @@ class TestConfig:
         (["hilbert", "--n", "2000000000"], "65536"),
         (["distance", "--symbol", "missing.txt", "--degree", "2000000000",
           "--budget", "100"], "256"),
-        (["distance", "--symbol", "missing.txt", "--degree", "256", "--grid",
-          "1048576", "--budget", "100"], "8388608"),
     ])
     def test_oversize_is_usage_error(self, capsys, monkeypatch, argv, limit):
         # the caps must fire before any symbol is loaded or matrix built
@@ -140,6 +138,15 @@ class TestConfig:
         assert out == ""
         assert err.startswith("error: ") and limit in err
         assert err.count("\n") == 1
+
+    def test_degree_and_grid_are_capped_apart(self, capsys):
+        # no cap on (degree + 1) * grid: this pair, twice the old 2^23
+        # product cap, runs in well under a second
+        argv = ["distance", "--symbol", str(GOLDEN / "depth3.txt"),
+                "--degree", "64", "--grid", "262144"]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        assert "optimizer_status: converged" in out
 
     def test_deep_symbol_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # the depth cap must fire before any Hankel block is built
@@ -233,6 +240,20 @@ class TestDistanceAndNorm:
         assert "optimizer_status: budget_exhausted" in out
         assert "optimizer_evaluations: 5" in out
         assert err.startswith("warning: ") and err.count("\n") == 1
+
+    def test_working_set_bound_warns(self, capsys, monkeypatch):
+        # a bound of one 129-point set at degree 2 stops the solve at its
+        # first exchange, long before --budget
+        monkeypatch.setattr(nehari, "_WS_ENTRIES", 72 * 129)
+        argv = ["distance", "--symbol", str(GOLDEN / "depth3.txt"),
+                "--grid", "4096", "--degree", "2"]
+        code, out, err = run(capsys, argv)
+        assert code == 0
+        assert "optimizer_status: budget_exhausted" in out
+        spent = int(out.split("optimizer_evaluations: ")[1].split()[0])
+        assert spent < 20000
+        assert err == (f"warning: optimizer unconverged after {spent} of its "
+                       f"20000 evaluations\n")
 
     def test_rational_symbol_at_the_depth_cap(self, tmp_path, capsys):
         # phi_hat(-n) = lam^(n-1) c, n = 1 .. 1020, is rank one with

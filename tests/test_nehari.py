@@ -5,9 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slicehankel import arrays
+from slicehankel import arrays, nehari
 from slicehankel.hankel import (
+    QuaternionMatrix,
     apply_H,
     build_hankel_matrix,
     complex_embed,
@@ -86,6 +89,51 @@ def padded_symbols(seed):
 def random_unit(rng):
     v = rng.normal(size=4)
     return Quaternion(*(v / np.linalg.norm(v)))
+
+
+def rational_symbol(lams, cs):
+    """phi_hat(-n) = sum_i lam_i^(n-1) c_i for n = 1 .. K, K the depth at
+    which max |lam_i|^K < 1e-19."""
+    depth = math.ceil(-19.0 / math.log10(max(abs(lam) for lam in lams)))
+    coeffs, terms = {}, list(cs)
+    for n in range(1, depth + 1):
+        coeffs[-n] = sum(terms, Quaternion())
+        terms = [lam * t for lam, t in zip(lams, terms)]
+    return SliceLaurentSeries(coeffs)
+
+
+def _stein(c, a, b):
+    """The quaternion G = c + a G b, by one 4 x 4 real solve."""
+    op = np.array([(a * Quaternion(*e) * b).components() for e in np.eye(4)]).T
+    return np.linalg.solve(np.eye(4) - op, c.components())
+
+
+def rational_oracle(lams, cs):
+    """||H_phi|| of the untruncated rational_symbol, with no Hankel matrix:
+    Kronecker's H = U W, U_ji = lam_i^j and W_il = lam_i^l c_i, gives the
+    r x r Gram matrices G_U = U^* U and G_W = W W^* entrywise by Stein
+    equations, and sigma^2 are the eigenvalues of chi(G_W) chi(G_U)."""
+    gu = [[_stein(ONE, la.conjugate(), lb) for lb in lams] for la in lams]
+    gw = [[_stein(ca * cb.conjugate(), la, lb.conjugate()) for lb, cb in zip(lams, cs)]
+          for la, ca in zip(lams, cs)]
+    prod = complex_embed(QuaternionMatrix(gw)) @ complex_embed(QuaternionMatrix(gu))
+    return math.sqrt(float(np.max(np.linalg.eigvals(prod).real)))
+
+
+_direction = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda v: math.hypot(*v) >= 0.1).map(lambda v: np.array(v) / math.hypot(*v))
+
+
+@st.composite
+def _rational_terms(draw):
+    """1-3 poles with moduli in disjoint bands, so no two terms cancel, and
+    coefficients of modulus 0.5-2."""
+    r = draw(st.integers(1, 3))
+    lams = [Quaternion(*(draw(st.floats(0.1 + 0.25 * i, 0.3 + 0.25 * i))
+                         * draw(_direction))) for i in range(r)]
+    cs = [Quaternion(*(draw(st.floats(0.5, 2.0)) * draw(_direction)))
+          for _ in range(r)]
+    return lams, cs
 
 
 class TestHankelNorm:
@@ -334,6 +382,33 @@ class TestConstructive:
             assert abs(gauged.distance - base.distance) <= 1e-10
 
 
+class TestRationalOracle:
+    def check(self, lams, cs):
+        phi = rational_symbol(lams, cs)
+        oracle = rational_oracle(lams, cs)
+        assert abs(hankel_norm(phi) - oracle) <= 1e-12 * oracle
+        res = constructive_best_approx(phi, None, 4 * -phi.n_min + 16)
+        assert abs(res.distance - oracle) <= 1e-12 * oracle
+
+    def test_rank_one_closed_form(self):
+        lam, c = Quaternion(0.3, -0.4, 0.2, 0.5), Quaternion(1.0, 2.0, 0.0, -1.0)
+        oracle = rational_oracle([lam], [c])
+        assert abs(oracle - abs(c) / (1.0 - abs(lam) ** 2)) <= 1e-15 * oracle
+
+    @pytest.mark.parametrize("moduli", [(0.5, 0.9), (0.3, 0.7, 0.85)])
+    def test_fixed_symbols(self, moduli):
+        rng = np.random.default_rng(len(moduli))
+        lams = [random_unit(rng) * Quaternion(m) for m in moduli]
+        cs = [Quaternion(*rng.normal(size=4)) for _ in moduli]
+        self.check(lams, cs)
+
+    # derandomized: 1,500 random draws peaked at 7.1e-13 on the distance
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_rational_terms())
+    def test_random_symbols(self, terms):
+        self.check(*terms)
+
+
 class TestOptimizer:
     def test_interpolation_case(self):
         phi = SliceLaurentSeries({0: Quaternion(1, 2, 0, 1), 2: Quaternion(0.5)})
@@ -549,6 +624,26 @@ class TestBarrierSolver:
         assert res.evaluations <= 30
         assert res.distance == res.iterates[-1] == min(res.iterates)
         assert res.lower_bound <= res.distance
+
+    def test_working_set_bound_stops_the_solve(self, monkeypatch):
+        # the bound admits the 129-point start set at degree 6 (96 entries a
+        # point) and stops the exchange before any set passes it
+        entries = 96 * 140
+        built = []
+
+        class Recorded(_WorkingSet):
+            def __init__(self, plus, idx, *rest):
+                built.append(len(idx))
+                super().__init__(plus, idx, *rest)
+
+        monkeypatch.setattr(nehari, "_WS_ENTRIES", entries)
+        monkeypatch.setattr(nehari, "_WorkingSet", Recorded)
+        phi = load_series(GOLDEN / "depth3.txt")
+        res = optimize_distance(phi, 6, 8192, 20000)
+        assert res.status == "budget_exhausted"
+        assert res.evaluations < 20000
+        assert built and 96 * max(built) <= entries
+        assert res.lower_bound <= res.distance == min(res.iterates)
 
     def test_depth_one_optimum_is_analytic_part(self):
         # for c z^{-1} + f with f analytic of degree <= degree, f is the best

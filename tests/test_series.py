@@ -147,10 +147,21 @@ class TestGridSamples:
             assert np.max(np.abs(arrays.from_pairs(*pairs) - want)) <= 1e-12 * scale
 
     def test_aliasing_support_rejected(self):
+        # the one grid rule, grid >= 4 max|n| + 16, at its edge: max|n| = 8
         ok = SliceLaurentSeries({-8: ONE, 7: I})
-        assert _plus_samples(ok, 16).shape == (2, 16)
-        with pytest.raises(ValueError, match="aliases"):
-            _plus_samples(SliceLaurentSeries({-8: ONE, 8: I}), 16)
+        assert _plus_samples(ok, 48).shape == (2, 48)
+        with pytest.raises(ValueError, match="need at least 48"):
+            _plus_samples(ok, 47)
+        # a far coefficient counts though its norm_sq underflows to 0: it is
+        # refused, not sampled as its alias n = 39 - 48
+        tiny = ok + SliceLaurentSeries({39: Quaternion(1e-170)})
+        with pytest.raises(ValueError, match="need at least 172"):
+            _plus_samples(tiny, 48)
+        # a stored zero is not placed: at index 49 mod 48 it would overwrite
+        # the coefficient at n = 1
+        f = SliceLaurentSeries({-8: ONE, 1: J})
+        padded = f + SliceLaurentSeries({49: Quaternion()})
+        assert np.array_equal(_plus_samples(padded, 48), _plus_samples(f, 48))
 
 
 class TestRepresentationFormula:
