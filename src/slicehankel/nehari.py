@@ -39,6 +39,7 @@ from .series import (
     SliceLaurentSeries,
     _grid_guard,
     _half_samples,
+    _normalized,
     _plus_samples,
     _reversed,
     _sup_terms,
@@ -85,7 +86,8 @@ def hankel_norm(phi: SliceLaurentSeries, N: int | None = None) -> float:
     any N x N truncation with N >= k only pads with zeros.  N is unused,
     and kept only because existing callers pass it.
     """
-    return operator_norm(_hankel_block(phi))
+    phi, scale = _normalized(phi)
+    return operator_norm(_hankel_block(phi)) * scale
 
 
 def maximizing_vector(phi: SliceLaurentSeries,
@@ -97,6 +99,7 @@ def maximizing_vector(phi: SliceLaurentSeries,
 
     g is defined up to a right unit-quaternion factor; the gauge fixed here
     makes its lowest nonzero coefficient real and positive."""
+    phi, _ = _normalized(phi)
     sigma, v = top_singular_pair(_hankel_block(phi))
     if sigma <= _ZERO_NORM_TOL:
         raise ValueError("zero operator has no maximizing vector")
@@ -148,8 +151,7 @@ def constructive_best_approx(
     """
     if g is None:
         if hankel_norm(phi) <= _ZERO_NORM_TOL:
-            neg = project_minus(phi)
-            dist = 0.0 if neg.is_zero() else linf_norm(neg, grid)
+            dist = linf_norm(project_minus(phi), grid)
             return ConstructiveResult(project_plus(phi), dist, 0.0, 0.0, "ok")
         g = maximizing_vector(phi)
     plus = _plus_samples(phi, grid)
@@ -494,7 +496,7 @@ def optimize_distance(
         new = np.flatnonzero(peak)
         if new.size:
             new = new[np.argsort(vals[new])[-(4 * d1 + 1):]]
-            idx = np.union1d(ws.idx, new)
+            idx = np.sort(np.concatenate([ws.idx, new]))
             if (6 * degree + 60) * len(idx) > _WS_ENTRIES:
                 break
             ws = _WorkingSet(plus, idx, roots, degree, index)
@@ -502,8 +504,7 @@ def optimize_distance(
         else:
             tau *= 20.0
 
-    coeffs = {n: Quaternion(*c) for n, c in enumerate(best_x.reshape(d1, 4))
-              if np.any(c != 0.0)}
+    coeffs = {n: Quaternion(*c) for n, c in enumerate(best_x.reshape(d1, 4))}
     return OptimizeResult(
         best_approx=SliceLaurentSeries(coeffs),
         distance=best,
@@ -577,26 +578,28 @@ def approximation_report(
 ) -> ApproximationReport:
     """The distance pipeline: hankel_norm, then constructive_best_approx
     (with the maximizing vector of a nonzero operator), then
-    optimize_distance, with the better competitor as ``best_approx``.
-    ``hankel_block`` is the size k of the Hankel block that was read."""
+    optimize_distance, with the better competitor as ``best_approx``, all on
+    phi scaled by ``_normalized`` and scaled back.  ``hankel_block`` is the
+    size k of the Hankel block that was read."""
+    phi, scale = _normalized(phi)
     hn = hankel_norm(phi)
     g = maximizing_vector(phi) if hn > _ZERO_NORM_TOL else None
     cons = constructive_best_approx(phi, None, grid, g)
     opt = optimize_distance(phi, degree, grid, budget)
     best = cons.best_approx if cons.distance <= opt.distance else opt.best_approx
     return ApproximationReport(
-        hankel_norm=hn,
-        constructive_distance=cons.distance,
-        optimized_distance=opt.distance,
-        residual_negative_mass=cons.residual_negative_mass,
+        hankel_norm=hn * scale,
+        constructive_distance=cons.distance * scale,
+        optimized_distance=opt.distance * scale,
+        residual_negative_mass=cons.residual_negative_mass * scale,
         hankel_block=_block_size(phi),
         grid=grid,
         optimizer_status=opt.status,
         optimizer_evaluations=opt.evaluations,
-        optimizer_lower_bound=opt.lower_bound,
+        optimizer_lower_bound=opt.lower_bound * scale,
         constructive_status=cons.status,
         excluded_fraction=cons.excluded_fraction,
-        best_approx=best,
+        best_approx=SliceLaurentSeries({n: a * scale for n, a in best.coeffs.items()}),
     )
 
 
@@ -611,7 +614,5 @@ def verify_nehari_bounds(
     d <= ||Gamma_alpha|| <= 2d.  ||Gamma_alpha|| is its ``hankel_norm``,
     since every N x N section with N >= k is the k x k block of nonzero
     entries padded with zeros."""
-    phi = SliceLaurentSeries(
-        {-1 - m: a for m, a in enumerate(alpha) if a.norm_sq() != 0.0}
-    )
+    phi = SliceLaurentSeries({-1 - m: a for m, a in enumerate(alpha)})
     return approximation_report(phi, grid, degree, budget)

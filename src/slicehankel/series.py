@@ -14,7 +14,7 @@ point, not just up to rounding.
 from __future__ import annotations
 
 import math
-from math import fsum
+from math import fsum, ldexp
 from typing import Callable, Mapping
 
 import numpy as np
@@ -48,8 +48,8 @@ _ZERO = Quaternion()
 
 
 class SliceLaurentSeries:
-    """Finite-support coefficient map n -> a_n.  Equality is semantic:
-    stored zero coefficients are ignored."""
+    """Finite-support coefficient map n -> a_n storing exactly the a_n with
+    a nonzero component, however small: equality is dict equality."""
 
     __slots__ = ("coeffs",)
 
@@ -59,7 +59,8 @@ class SliceLaurentSeries:
             for n, a in coeffs.items():
                 if not isinstance(a, Quaternion):
                     raise TypeError("coefficients must be quaternions")
-                self.coeffs[int(n)] = a
+                if any(a.components()):
+                    self.coeffs[int(n)] = a
 
     # -- constructors -----------------------------------------------------
 
@@ -78,15 +79,14 @@ class SliceLaurentSeries:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(n for n, a in self.coeffs.items() if a.norm_sq() != 0.0))
+        return tuple(sorted(self.coeffs))
 
     @property
     def n_min(self) -> int:
-        s = self.support
-        return s[0] if s else 0
+        return min(self.coeffs, default=0)
 
     def is_zero(self) -> bool:
-        return not self.support
+        return not self.coeffs
 
     def __add__(self, other: "SliceLaurentSeries") -> "SliceLaurentSeries":
         out = dict(self.coeffs)
@@ -113,8 +113,7 @@ class SliceLaurentSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SliceLaurentSeries):
             return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coefficient(n) == other.coefficient(n) for n in keys)
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(tuple((n, self.coefficient(n).components()) for n in self.support))
@@ -169,13 +168,10 @@ def _plus_samples(f: SliceLaurentSeries, grid: int) -> np.ndarray:
     A+ as the unscaled inverse FFT, and B+ likewise from the beta_n.
     """
     placed = np.zeros((2, grid), dtype=complex)
-    # every nonzero component counts, even where norm_sq underflows; zeros
-    # are not placed, so a wrapped zero never overwrites a value
-    terms = {n: a for n, a in f.coeffs.items() if any(a.components())}
-    if terms:
-        ns = np.fromiter(terms, dtype=int, count=len(terms))
+    if f.coeffs:
+        ns = np.fromiter(f.coeffs, dtype=int, count=len(f.coeffs))
         _grid_guard(int(np.abs(ns).max()), grid)
-        comps = np.array([a.components() for a in terms.values()])
+        comps = np.array([a.components() for a in f.coeffs.values()])
         placed[:, ns % grid] = arrays.to_pairs(comps)
     return np.fft.ifft(placed, norm="forward")
 
@@ -187,6 +183,24 @@ def _grid_guard(reach: int, grid: int) -> None:
     if grid < 4 * reach + 16:
         raise ValueError(f"grid {grid} too coarse for |n| up to {reach}; "
                          f"need at least {4 * reach + 16}")
+
+
+def _normalized(f: SliceLaurentSeries) -> tuple[SliceLaurentSeries, float]:
+    """(f 2^-e, 2^e) with f 2^-e's largest coefficient component in [1, 2),
+    f itself for e = 0.  Every norm and distance of f is 2^e times that of
+    f 2^-e, exactly, with no squares to under- or overflow, and thresholds
+    read relative as sup |f 2^-e| >= 1.  Components are scaled by ldexp (2^-e
+    overflows for e < -1023); one that would flush to zero is refused."""
+    sizes = [abs(c) for a in f.coeffs.values() for c in a.components() if c]
+    e = math.frexp(max(sizes, default=1.0))[1] - 1
+    if e == 0:
+        return f, 1.0
+    if ldexp(min(sizes), -e) == 0.0:
+        raise ValueError(f"symbol component of size {min(sizes)!r} flushes to zero "
+                         f"when the symbol is scaled by 2^{-e} to its largest")
+    scaled = {n: Quaternion(ldexp(a.w, -e), ldexp(a.x, -e), ldexp(a.y, -e), ldexp(a.z, -e))
+              for n, a in f.coeffs.items()}
+    return SliceLaurentSeries(scaled), ldexp(1.0, e)
 
 
 def _reversed(v: np.ndarray) -> np.ndarray:
@@ -368,9 +382,8 @@ def linf_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
     """Sampled essential sup: max over the half grid k = 0 .. grid // 2 (the
     sup is even in t) of the exact sphere sup on each sphere e^{t S}.  A lower
     bound converging as the grid is refined."""
-    if f.is_zero():
-        return 0.0
-    return float(np.max(_sup_values(_half_samples(_plus_samples(f, grid)))))
+    f, scale = _normalized(f)
+    return float(np.max(_sup_values(_half_samples(_plus_samples(f, grid))))) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +404,7 @@ def bmo_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
     and their squares would only add cancellation.
     """
     f = SliceLaurentSeries({n: a for n, a in f.coeffs.items() if n != 0})
-    if f.is_zero():
-        return 0.0
+    f, scale = _normalized(f)
     plus = _plus_samples(f, grid)
     res = np.concatenate([plus, _reversed(plus)], axis=-1)
     total, d, _, qc = _sup_terms(res)
@@ -407,8 +419,7 @@ def bmo_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
         level_max.append(np.max(mean[4].real - total_m + np.hypot(
             mean[5].real - d_m, 2.0 * np.abs(mean[6] - qc_m))))
         npts //= 2
-    # np.max keeps a NaN from overflowed squares, where max() would drop it
-    return float(np.sqrt(np.max(level_max) / 2))
+    return float(np.sqrt(np.max(level_max) / 2)) * scale
 
 
 # ---------------------------------------------------------------------------

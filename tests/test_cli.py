@@ -17,6 +17,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 FAST = ["--grid", "256", "--degree", "2", "--budget", "300"]
 
 
+# the report lines that scale with the symbol; best_approx records scale too
+_SCALED_FIELDS = {"hankel_norm", "linf_norm", "constructive_distance", "optimized_distance",
+                  "residual_negative_mass", "optimizer_lower_bound"}
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -164,25 +169,48 @@ class TestConfig:
             assert err.startswith("error: ") and "1025" in err and "1024" in err
             assert err.count("\n") == 1
 
-    def test_huge_coefficient_is_usage_error(self, tmp_path, capsys):
-        # refused up front: near 1e77 the optimizer's s^4-sized terms overflow
-        for size in (1e80, 1e300):
-            path = tmp_path / "huge.txt"
-            phi = SliceLaurentSeries({-1: Quaternion(1.0), -2: Quaternion(0, size, 0, 0)})
-            save_series(phi, path)
-            for command in ("norm", "distance"):
-                code, out, err = run(capsys, [command, "--symbol", str(path), *FAST])
-                assert code == 2
-                assert out == ""
-                assert err.startswith("error: ") and "n = -2" in err and "1e+60" in err
-                assert err.count("\n") == 1
+    @pytest.mark.parametrize("command, symbol, k", [
+        ("norm", "depth3", 600), ("norm", "depth3", -600),
+        ("distance", "depth3", 600), ("distance", "depth3", -600),
+        ("norm", "two-term", -930)])
+    def test_output_scales_exactly_by_powers_of_two(self, tmp_path, capsys,
+                                                    command, symbol, k):
+        # far past the squares' overflow and underflow, every number and
+        # every best_approx component is 2^k times its k = 0 value
+        phi = (loads_series((GOLDEN / "depth3.txt").read_text()) if symbol == "depth3"
+               else SliceLaurentSeries({-1: Quaternion(1.0), -2: Quaternion(0, 0, 1.0, 0)}))
+        outputs = []
+        for e in (0, k):
+            path = tmp_path / f"scaled{e}.txt"
+            save_series(SliceLaurentSeries(
+                {n: a * 2.0 ** e for n, a in phi.coeffs.items()}), path)
+            outputs.append(run(capsys, [command, "--symbol", str(path), *FAST]))
+        (code0, out0, err0), (code, out, err) = outputs
+        assert (code, err) == (code0, err0)
+        lines0, lines = out0.splitlines(), out.splitlines()
+        assert len(lines) == len(lines0)
+        for line0, line in zip(lines0, lines):
+            name, _, value = line0.partition(": ")
+            if name in _SCALED_FIELDS:
+                assert line == f"{name}: {float(value) * 2.0 ** k!r}"
+            elif line0.startswith("  ") and not line0.startswith("  #"):
+                n, *comps = line0.split()
+                assert line.split() == [n, *(repr(float(c) * 2.0 ** k) for c in comps)]
+            else:
+                assert line == line0
 
-    def test_coefficient_at_the_cap_is_accepted(self, tmp_path, capsys):
-        path = tmp_path / "big.txt"
-        save_series(SliceLaurentSeries({-1: Quaternion(cli.MAX_COEFF)}), path)
-        code, out, _ = run(capsys, ["distance", "--symbol", str(path), *FAST])
-        assert code == 0
-        assert "optimizer_status: converged" in out and "inf" not in out
+    def test_flushing_symbol_is_usage_error(self, tmp_path, capsys):
+        # scaled to its largest coefficient, the 1e-30 at n = -500 would
+        # flush to zero: refused, not dropped
+        path = tmp_path / "range.txt"
+        save_series(SliceLaurentSeries(
+            {-1: Quaternion(1e300), -500: Quaternion(1e-30)}), path)
+        for command in ("norm", "distance"):
+            code, out, err = run(capsys, [command, "--symbol", str(path), *FAST])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "1e-30" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_duplicate_exponent_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "twice.txt"
@@ -370,6 +398,25 @@ class TestHilbertAndDemo:
         assert proc.stderr == ""
         assert proc.stdout.startswith("# rank-one worked example\n")
         assert proc.stdout == run(capsys, ["demo", *FAST])[1]
+
+    def test_distance_leaves_numpy_ma_unimported(self):
+        # the optimizer's exchange merges its disjoint index sets without
+        # np.union1d, whose np.unique imports numpy.ma (about 17 ms) on the
+        # first exchange of a process
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        script = ("import sys; from slicehankel.cli import main; "
+                  "code = main(['distance', '--symbol', sys.argv[1]]); "
+                  "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(GOLDEN / "depth3.txt")],
+            capture_output=True, text=True, env=env, cwd=root, timeout=120,
+        )
+        assert proc.stderr == "0 False\n"
+        assert "optimizer_evaluations: 197" in proc.stdout
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "table.csv"

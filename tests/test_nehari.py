@@ -40,6 +40,7 @@ from slicehankel.series import (
     _plus_samples,
     _reversed,
     _sup_values,
+    bmo_norm,
     evaluate,
     l2_norm,
     linf_norm,
@@ -756,3 +757,56 @@ class TestReports:
             norms.append(operator_norm(build_hankel_matrix(alpha, n)))
         assert all(v < math.pi for v in norms)
         assert norms == sorted(norms)
+
+
+def scaled(f, k):
+    """f 2^k, exact while every component stays a normal double."""
+    return SliceLaurentSeries({n: a * 2.0 ** k for n, a in f.coeffs.items()})
+
+
+# components 0 or 2^-20 <= |c| <= 16: at 2^+-1000 every component, and
+# every nonzero norm, stays a normal double
+_component = st.one_of(st.just(0.0), st.floats(2.0 ** -20, 16.0),
+                       st.floats(-16.0, -(2.0 ** -20)))
+_symbol = st.dictionaries(
+    st.integers(-6, 6), st.tuples(*[_component] * 4).map(lambda c: Quaternion(*c)),
+    min_size=1, max_size=8).map(SliceLaurentSeries)
+
+
+@pytest.fixture(scope="module")
+def depth3_report():
+    return approximation_report(load_series(GOLDEN / "depth3.txt"), 4096, 6, 20000)
+
+
+class TestScaling:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_symbol, st.integers(-1000, 1000))
+    def test_norms_scale_exactly(self, f, k):
+        # phi -> phi 2^k is exact, so each norm must move by exactly 2^k
+        g = scaled(f, k)
+        assert linf_norm(g, 64) == linf_norm(f, 64) * 2.0 ** k
+        assert bmo_norm(g, 64) == bmo_norm(f, 64) * 2.0 ** k
+        assert hankel_norm(g) == hankel_norm(f) * 2.0 ** k
+
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_lanczos_path_scales_exactly(self, k):
+        # depth 200 runs Lanczos, whose np.linalg.norm squares overflow at
+        # 2^600 and underflow at 2^-600 unless the symbol is normalized
+        phi = flat_symbol(np.random.default_rng(71), 200)
+        assert hankel_norm(scaled(phi, k)) == hankel_norm(phi) * 2.0 ** k
+        assert maximizing_vector(scaled(phi, k)) == maximizing_vector(phi)
+
+    @pytest.mark.parametrize("k", [-1000, -600, -330, -46, -30, -10, 200, 260, 600, 1000])
+    def test_report_scales_exactly(self, depth3_report, k):
+        # the same converged solve at every scale: each number and
+        # best_approx is 2^k times the k = 0 report, counts and states equal
+        rep = approximation_report(scaled(load_series(GOLDEN / "depth3.txt"), k),
+                                   4096, 6, 20000)
+        assert (rep.optimizer_status, rep.optimizer_evaluations) == ("converged", 197)
+        for f in fields(rep):
+            want, got = getattr(depth3_report, f.name), getattr(rep, f.name)
+            if isinstance(want, float) and f.name != "excluded_fraction":
+                want = want * 2.0 ** k
+            elif isinstance(want, SliceLaurentSeries):
+                want = scaled(want, k)
+            assert got == want, f.name

@@ -480,17 +480,12 @@ class TestBmo:
             assert bmo_norm(f + c, 256) == bmo_norm(f, 256)
 
     def test_scales_exactly_by_powers_of_two(self):
+        # the squares of 2^600 overflow and those of 2^-600 underflow
         f = random_series(np.random.default_rng(33))
-        for e in (300, -300):
+        for e in (300, -300, 600, -600):
             scaled = SliceLaurentSeries(
                 {n: a * 2.0 ** e for n, a in f.coeffs.items()})
             assert bmo_norm(scaled, 1024) == 2.0 ** e * bmo_norm(f, 1024)
-
-    def test_overflow_is_not_finite(self):
-        f = SliceLaurentSeries({n: a * 2.0 ** 600 for n, a in
-                                random_series(np.random.default_rng(34)).coeffs.items()})
-        with np.errstate(all="ignore"):
-            assert not math.isfinite(bmo_norm(f, 256))
 
     def test_memory_independent_of_support(self):
         rng = np.random.default_rng(30)
