@@ -190,13 +190,16 @@ def _normalized(f: SliceLaurentSeries) -> tuple[SliceLaurentSeries, float]:
     f itself for e = 0.  Every norm and distance of f is 2^e times that of
     f 2^-e, exactly, with no squares to under- or overflow, and thresholds
     read relative as sup |f 2^-e| >= 1.  Components are scaled by ldexp (2^-e
-    overflows for e < -1023); one that would flush to zero is refused."""
-    sizes = [abs(c) for a in f.coeffs.values() for c in a.components() if c]
-    e = math.frexp(max(sizes, default=1.0))[1] - 1
+    overflows for e < -1023), exactly unless they fall below 2^-1022: such a
+    component rounds, as any subnormal does, and may flush to zero beside a
+    coefficient's larger ones.  A coefficient that would flush to zero whole
+    is refused, as dropping it would change the support."""
+    tops = [max(abs(c) for c in a.components()) for a in f.coeffs.values()]
+    e = math.frexp(max(tops, default=1.0))[1] - 1
     if e == 0:
         return f, 1.0
-    if ldexp(min(sizes), -e) == 0.0:
-        raise ValueError(f"symbol component of size {min(sizes)!r} flushes to zero "
+    if ldexp(min(tops), -e) == 0.0:
+        raise ValueError(f"symbol coefficient of size {min(tops)!r} flushes to zero "
                          f"when the symbol is scaled by 2^{-e} to its largest")
     scaled = {n: Quaternion(ldexp(a.w, -e), ldexp(a.x, -e), ldexp(a.y, -e), ldexp(a.z, -e))
               for n, a in f.coeffs.items()}

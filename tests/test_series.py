@@ -487,6 +487,21 @@ class TestBmo:
                 {n: a * 2.0 ** e for n, a in f.coeffs.items()})
             assert bmo_norm(scaled, 1024) == 2.0 ** e * bmo_norm(f, 1024)
 
+    def test_subnormal_component_beside_larger_is_accepted(self):
+        # a product with a unit leaves subnormal parts, which scaling by 2^-1
+        # rounds to zero; the coefficient keeps its larger parts and stays
+        f = SliceLaurentSeries({2: Quaternion(-1e-323, -2.0, -5e-324, 1.0)})
+        g = SliceLaurentSeries({2: Quaternion(0.0, -2.0, 0.0, 1.0)})
+        assert bmo_norm(f, 64) == bmo_norm(g, 64)
+        assert linf_norm(f, 64) == linf_norm(g, 64)
+
+    def test_finite_where_squares_overflow(self):
+        f = random_series(np.random.default_rng(34))
+        big = SliceLaurentSeries({n: a * 2.0 ** 600 for n, a in f.coeffs.items()})
+        value = bmo_norm(big, 256)
+        assert math.isfinite(value)
+        assert value == 2.0 ** 600 * bmo_norm(f, 256)
+
     def test_memory_independent_of_support(self):
         rng = np.random.default_rng(30)
         f = SliceLaurentSeries({n: Quaternion(*rng.normal(size=4)) for n in range(500)})
