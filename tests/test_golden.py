@@ -34,6 +34,7 @@ CASES = {
     "distance_depth3": ["distance", "--symbol", "depth3.txt"],
     "norm_rank_one": ["norm", "--symbol", "rank_one.txt"],
     "distance_rank_one": ["distance", "--symbol", "rank_one.txt"],
+    "distance_deep128": ["distance", "--symbol", "deep128.txt"],
 }
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
