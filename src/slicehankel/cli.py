@@ -1,10 +1,11 @@
 """Reproducible experiment runner.
 
-Subcommands: verify (property suites over random instances, CSV), distance
-(approximation report for a stored symbol), norm (Hankel and sup norm of a
-stored symbol), hilbert (truncated Hilbert-matrix norm table), demo (rank-one
-worked example).  Output is plain text/CSV with repr-formatted floats, so a
-fixed (config, input) pair reproduces byte-identical bytes.
+One table, ``COMMANDS``, gives each subcommand (verify, distance, norm,
+hilbert, demo) its function, its help and the ExperimentConfig fields it
+reads.  A command takes a flag for each of those fields, --out and --config,
+and distance and norm also --symbol; any other flag is a usage error.  Output
+is plain text/CSV with repr-formatted floats, so a fixed (config, input) pair
+reproduces byte-identical bytes.
 
 Exit codes: 0 pass, 1 check failure, 2 usage/parse error.
 """
@@ -303,35 +304,36 @@ def cmd_demo(config: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int)
-    shared.add_argument("--n", type=int, dest="truncation_N",
-                        help="largest size of the hilbert table")
-    shared.add_argument("--grid", type=int)
-    shared.add_argument("--degree", type=int)
-    shared.add_argument("--budget", type=int)
-    shared.add_argument("--trials", type=int)
-    shared.add_argument("--out", dest="output_path")
-    shared.add_argument("--config", help="JSON config file (flags override)")
+# each command's function, its help, the ExperimentConfig fields it reads
+# (one flag each) and whether it reads a --symbol file; every command also
+# takes --out and --config, and no other flag
+COMMANDS = {
+    "verify": (cmd_verify, "run the property suites over random instances",
+               ("seed", "grid", "degree", "budget", "trials"), False),
+    "distance": (cmd_distance, "approximation report for a stored symbol",
+                 ("grid", "degree", "budget"), True),
+    "norm": (cmd_norm, "Hankel and sup norm of a stored symbol", ("grid",), True),
+    "hilbert": (cmd_hilbert, "truncated Hilbert-matrix norm table",
+                ("truncation_N",), False),
+    "demo": (cmd_demo, "rank-one worked example", ("grid", "degree", "budget"), False),
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicehankel",
         description="Quaternionic Hankel-operator experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify", parents=[shared],
-                   help="run the property suites over random instances")
-    p = sub.add_parser("distance", parents=[shared],
-                       help="approximation report for a stored symbol")
-    p.add_argument("--symbol", required=True)
-    p = sub.add_parser("norm", parents=[shared],
-                       help="Hankel and sup norm of a stored symbol")
-    p.add_argument("--symbol", required=True)
-    sub.add_parser("hilbert", parents=[shared],
-                   help="truncated Hilbert-matrix norm table")
-    sub.add_parser("demo", parents=[shared],
-                   help="rank-one worked example")
+    for name, (_, text, reads, symbol) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if symbol:
+            p.add_argument("--symbol", required=True)
+        for field in reads:
+            flag = "--n" if field == "truncation_N" else f"--{field}"
+            p.add_argument(flag, type=int, dest=field)
+        p.add_argument("--out", dest="output_path")
+        p.add_argument("--config", help="JSON config file (flags override)")
     return parser
 
 
@@ -353,19 +355,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    run, _, _, symbol = COMMANDS[args.command]
     try:
         config = _resolve_config(args)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "distance":
-            return cmd_distance(config, args.symbol)
-        if args.command == "norm":
-            return cmd_norm(config, args.symbol)
-        if args.command == "hilbert":
-            return cmd_hilbert(config)
-        if args.command == "demo":
-            return cmd_demo(config)
-        raise AssertionError(f"unhandled command {args.command}")
+        if symbol:
+            return run(config, args.symbol)
+        return run(config)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

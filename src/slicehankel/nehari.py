@@ -42,6 +42,7 @@ from .series import (
     _normalized,
     _plus_samples,
     _reversed,
+    _scale_back,
     _sup_terms,
     _sup_values,
     dumps_series,
@@ -87,7 +88,7 @@ def hankel_norm(phi: SliceLaurentSeries, N: int | None = None) -> float:
     and kept only because existing callers pass it.
     """
     phi, scale = _normalized(phi)
-    return operator_norm(_hankel_block(phi)) * scale
+    return _scale_back(operator_norm(_hankel_block(phi)), scale, "hankel_norm")
 
 
 def maximizing_vector(phi: SliceLaurentSeries,
@@ -579,7 +580,7 @@ def approximation_report(
     """The distance pipeline: hankel_norm, then constructive_best_approx
     (with the maximizing vector of a nonzero operator), then
     optimize_distance, with the better competitor as ``best_approx``, all on
-    phi scaled by ``_normalized`` and scaled back.  ``hankel_block`` is the
+    phi scaled by ``_normalized`` and scaled back by ``_scale_back``.  ``hankel_block`` is the
     size k of the Hankel block that was read."""
     phi, scale = _normalized(phi)
     hn = hankel_norm(phi)
@@ -587,19 +588,25 @@ def approximation_report(
     cons = constructive_best_approx(phi, None, grid, g)
     opt = optimize_distance(phi, degree, grid, budget)
     best = cons.best_approx if cons.distance <= opt.distance else opt.best_approx
+
+    def back(value: float, name: str) -> float:
+        return _scale_back(value, scale, name)
+
     return ApproximationReport(
-        hankel_norm=hn * scale,
-        constructive_distance=cons.distance * scale,
-        optimized_distance=opt.distance * scale,
-        residual_negative_mass=cons.residual_negative_mass * scale,
+        hankel_norm=back(hn, "hankel_norm"),
+        constructive_distance=back(cons.distance, "constructive_distance"),
+        optimized_distance=back(opt.distance, "optimized_distance"),
+        residual_negative_mass=back(cons.residual_negative_mass, "residual_negative_mass"),
         hankel_block=_block_size(phi),
         grid=grid,
         optimizer_status=opt.status,
         optimizer_evaluations=opt.evaluations,
-        optimizer_lower_bound=opt.lower_bound * scale,
+        optimizer_lower_bound=back(opt.lower_bound, "optimizer_lower_bound"),
         constructive_status=cons.status,
         excluded_fraction=cons.excluded_fraction,
-        best_approx=SliceLaurentSeries({n: a * scale for n, a in best.coeffs.items()}),
+        best_approx=SliceLaurentSeries({
+            n: Quaternion(*(back(c, "best_approx") for c in a.components()))
+            for n, a in best.coeffs.items()}),
     )
 
 

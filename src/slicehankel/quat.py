@@ -18,6 +18,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# an imaginary vector shorter than this is rounding noise: ImaginaryUnit
+# refuses to normalize it, and from_quaternion reads such a point as real
+_NEAR_REAL = 1e-12
 
 
 class Quaternion:
@@ -84,10 +87,20 @@ class Quaternion:
         return math.sqrt(self.norm_sq())
 
     def inverse(self) -> "Quaternion":
-        n2 = self.norm_sq()
-        if n2 <= 0.0:
+        """conj(q) / |q|^2, formed on q 2^-e with its largest component in
+        [1, 2) and scaled back, so |q|^2 neither under- nor overflows; only
+        an inverse above the double range is refused."""
+        top = max(abs(c) for c in self.components())
+        if top == 0.0:
             raise ValueError("non-invertible")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        e = math.frexp(top)[1] - 1
+        w, x, y, z = (math.ldexp(c, -e) for c in self.components())
+        n2 = w * w + x * x + y * y + z * z
+        try:
+            return Quaternion(math.ldexp(w / n2, -e), math.ldexp(-x / n2, -e),
+                              math.ldexp(-y / n2, -e), math.ldexp(-z / n2, -e))
+        except OverflowError:
+            raise ValueError(f"inverse of {self!r} above the double range") from None
 
     # -- comparisons ------------------------------------------------------
 
@@ -128,7 +141,7 @@ class ImaginaryUnit:
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError("imaginary unit components must be finite")
         n = math.sqrt(x * x + y * y + z * z)
-        if n < 1e-12:
+        if n < _NEAR_REAL:
             raise ValueError("cannot normalize a (near-)zero imaginary vector")
         self.x = x / n
         self.y = y / n
@@ -190,7 +203,7 @@ class BoundaryPoint:
         w = min(1.0, max(-1.0, q.w / n))
         t = math.acos(w)
         im = q.imag_norm()
-        if im < 1e-14:
+        if im < _NEAR_REAL:
             return cls(REFERENCE_UNIT, t)
         return cls(ImaginaryUnit(q.x, q.y, q.z), t)
 

@@ -206,6 +206,16 @@ def _normalized(f: SliceLaurentSeries) -> tuple[SliceLaurentSeries, float]:
     return SliceLaurentSeries(scaled), ldexp(1.0, e)
 
 
+def _scale_back(value: float, scale: float, name: str) -> float:
+    """value * scale, the number of f from that of its ``_normalized`` f 2^-e,
+    refused when the product leaves the double range, where it would read
+    inf."""
+    out = value * scale
+    if not math.isfinite(out):
+        raise ValueError(f"{name} {value!r} * {scale!r} is above the double range")
+    return out
+
+
 def _reversed(v: np.ndarray) -> np.ndarray:
     """v[..., -k mod grid]: grid samples at e^{-it_k} from those at e^{it_k}."""
     return np.roll(v[..., ::-1], 1, axis=-1)
@@ -291,23 +301,29 @@ def symmetrize(f: SliceLaurentSeries) -> SliceLaurentSeries:
 def recip_star_at(
     f: SliceLaurentSeries, p: BoundaryPoint, tol: float = 1e-10
 ) -> Quaternion:
-    """Pointwise star-reciprocal (f^s(p))^{-1} f^c(p)."""
+    """Pointwise star-reciprocal (f^s(p))^{-1} f^c(p), formed on f 2^-e of
+    ``_normalized`` and scaled by 2^-e, as the reciprocal of f c is that of
+    f times 1/c; the cutoff tol on |f^s(p)| is thus relative to f's scale."""
+    f, scale = _normalized(f)
     fs_val = evaluate(symmetrize(f), p)
     if abs(fs_val) <= tol:
         raise ValueError("symmetrization vanishes at point")
-    return fs_val.inverse() * evaluate(conj_c(f), p)
+    return fs_val.inverse() * evaluate(conj_c(f), p) / scale
 
 
 def star_eval(
     f: SliceLaurentSeries, g: SliceLaurentSeries, p: BoundaryPoint
 ) -> Quaternion:
-    """Pointwise star product f(p) g(f(p)^{-1} p f(p)), 0 where f vanishes."""
+    """Pointwise star product f(p) g(f(p)^{-1} p f(p)), 0 where f vanishes
+    to 1e-12 relative to its scale: the cutoff reads on f 2^-e of
+    ``_normalized``, and the product is scaled back by 2^e."""
+    f, scale = _normalized(f)
     fv = evaluate(f, p)
     if abs(fv) <= 1e-12:
         return Quaternion()
     moved = fv.inverse() * p.to_quaternion() * fv
     scaled = moved * (1.0 / abs(moved))
-    return fv * evaluate(g, BoundaryPoint.from_quaternion(scaled))
+    return fv * evaluate(g, BoundaryPoint.from_quaternion(scaled)) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +402,8 @@ def linf_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
     sup is even in t) of the exact sphere sup on each sphere e^{t S}.  A lower
     bound converging as the grid is refined."""
     f, scale = _normalized(f)
-    return float(np.max(_sup_values(_half_samples(_plus_samples(f, grid))))) * scale
+    sup = float(np.max(_sup_values(_half_samples(_plus_samples(f, grid)))))
+    return _scale_back(sup, scale, "linf_norm")
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +439,7 @@ def bmo_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
         level_max.append(np.max(mean[4].real - total_m + np.hypot(
             mean[5].real - d_m, 2.0 * np.abs(mean[6] - qc_m))))
         npts //= 2
-    return float(np.sqrt(np.max(level_max) / 2)) * scale
+    return _scale_back(float(np.sqrt(np.max(level_max) / 2)), scale, "bmo_norm")
 
 
 # ---------------------------------------------------------------------------

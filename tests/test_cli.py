@@ -14,7 +14,10 @@ from slicehankel.quat import Quaternion
 from slicehankel.series import SliceLaurentSeries, linf_norm, loads_series, save_series
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-FAST = ["--grid", "256", "--degree", "2", "--budget", "300"]
+GRID = ["--grid", "256"]
+FAST = [*GRID, "--degree", "2", "--budget", "300"]
+# the fast flags a symbol command reads: norm reads only the grid
+SYMBOL_FAST = {"norm": GRID, "distance": FAST}
 
 
 # the report lines that scale with the symbol; best_approx records scale too
@@ -184,7 +187,8 @@ class TestConfig:
             path = tmp_path / f"scaled{e}.txt"
             save_series(SliceLaurentSeries(
                 {n: a * 2.0 ** e for n, a in phi.coeffs.items()}), path)
-            outputs.append(run(capsys, [command, "--symbol", str(path), *FAST]))
+            outputs.append(run(capsys, [command, "--symbol", str(path),
+                                        *SYMBOL_FAST[command]]))
         (code0, out0, err0), (code, out, err) = outputs
         assert (code, err) == (code0, err0)
         lines0, lines = out0.splitlines(), out.splitlines()
@@ -206,16 +210,32 @@ class TestConfig:
         save_series(SliceLaurentSeries(
             {-1: Quaternion(1e300), -500: Quaternion(1e-30)}), path)
         for command in ("norm", "distance"):
-            code, out, err = run(capsys, [command, "--symbol", str(path), *FAST])
+            code, out, err = run(capsys, [command, "--symbol", str(path),
+                                          *SYMBOL_FAST[command]])
             assert code == 2
             assert out == ""
             assert err.startswith("error: ") and "1e-30" in err
             assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, depth", [("norm", 2), ("norm", 3), ("distance", 3)])
+    def test_result_above_the_double_range_is_usage_error(self, tmp_path, capsys,
+                                                          command, depth):
+        # 1e308 at n = -1 .. -depth: the sup, and at depth 3 the Hankel norm
+        # too, lie above the largest double; refused, never printed as inf
+        path = tmp_path / "huge.txt"
+        save_series(SliceLaurentSeries(
+            {-n: Quaternion(1e308) for n in range(1, depth + 1)}), path)
+        code, out, err = run(capsys, [command, "--symbol", str(path),
+                                      *SYMBOL_FAST[command]])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "above the double range" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_duplicate_exponent_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "twice.txt"
         path.write_text("-1 1.0 0 0 0\n-1 5.0 0 0 0\n")
-        code, out, err = run(capsys, ["norm", "--symbol", str(path), *FAST])
+        code, out, err = run(capsys, ["norm", "--symbol", str(path), *GRID])
         assert code == 2
         assert out == ""
         assert err == "error: record at line 2: duplicate exponent -1\n"
@@ -224,6 +244,49 @@ class TestConfig:
         cfg = ExperimentConfig()
         assert (cfg.seed, cfg.truncation_N, cfg.grid) == (0, 64, 4096)
         assert (cfg.degree, cfg.budget, cfg.trials) == (6, 20000, 10)
+
+
+# the value flags each command reads, besides --out and --config
+READS = {
+    "verify": {"--seed", "--grid", "--degree", "--budget", "--trials"},
+    "distance": {"--grid", "--degree", "--budget"},
+    "norm": {"--grid"},
+    "hilbert": {"--n"},
+    "demo": {"--grid", "--degree", "--budget"},
+}
+DESTS = {"--seed": "seed", "--n": "truncation_N", "--grid": "grid",
+         "--degree": "degree", "--budget": "budget", "--trials": "trials"}
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", sorted(READS))
+    @pytest.mark.parametrize("flag", sorted(DESTS))
+    def test_command_takes_only_the_flags_it_reads(self, capsys, command, flag):
+        symbol = (["--symbol", str(GOLDEN / "depth3.txt")]
+                  if command in ("distance", "norm") else [])
+        argv = [command, *symbol, flag, "7"]
+        if flag in READS[command]:
+            args = cli._build_parser().parse_args(argv)
+            assert getattr(args, DESTS[flag]) == 7
+        else:
+            code, out, err = run(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert f"unrecognized arguments: {flag} 7" in err
+            assert "Traceback" not in err
+
+    def test_config_file_may_set_fields_a_command_does_not_read(self, tmp_path, capsys):
+        # one file serves every command: distance leaves truncation_N,
+        # seed and trials unread
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 3, "truncation_N": 16, "grid": 256,
+            "degree": 2, "budget": 300, "trials": 5,
+        }))
+        code, out, err = run(capsys, ["distance", "--symbol", str(GOLDEN / "depth3.txt"),
+                                      "--config", str(cfg)])
+        assert code == 0 and err == ""
+        assert "\ngrid: 256\n" in out
 
 
 class TestDistanceAndNorm:
@@ -334,7 +397,7 @@ class TestDistanceAndNorm:
     def test_norm_command(self, tmp_path, capsys):
         path = tmp_path / "symbol.txt"
         save_series(SliceLaurentSeries({-1: Quaternion(2.0)}), path)
-        code, out, _ = run(capsys, ["norm", "--symbol", str(path), *FAST])
+        code, out, _ = run(capsys, ["norm", "--symbol", str(path), *GRID])
         assert code == 0
         assert "hankel_norm: 2.0" in out
         assert "linf_norm: 2.0" in out

@@ -788,6 +788,14 @@ class TestScaling:
         assert bmo_norm(g, 64) == bmo_norm(f, 64) * 2.0 ** k
         assert hankel_norm(g) == hankel_norm(f) * 2.0 ** k
 
+    @pytest.mark.parametrize("norm", [linf_norm, bmo_norm, hankel_norm])
+    def test_norm_above_the_double_range_is_refused(self, norm):
+        # the normalized norm is finite, but 2^1023 times it is not: a
+        # ValueError, never inf
+        phi = SliceLaurentSeries({n: Quaternion(1e308) for n in (-1, -2, -3)})
+        with pytest.raises(ValueError, match="above the double range"):
+            norm(phi)
+
     @pytest.mark.parametrize("k", [600, -600])
     def test_lanczos_path_scales_exactly(self, k):
         # depth 200 runs Lanczos, whose np.linalg.norm squares overflow at

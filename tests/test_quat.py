@@ -68,6 +68,19 @@ class TestQuaternion:
         with pytest.raises(ValueError):
             Quaternion().inverse()
 
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_inverse_scales_exactly(self, k):
+        # |q|^2 underflows below about 1e-162 and overflows above 1e154: the
+        # inverse is formed on q scaled to its largest component
+        q = Quaternion(1.0, -2.0, 3.0, 0.5)
+        assert (q * 2.0 ** k).inverse() == q.inverse() * 2.0 ** -k
+        tiny = Quaternion(1e-170).inverse()
+        assert abs(tiny.w - 1e170) <= 1e-15 * 1e170
+
+    def test_inverse_above_the_double_range_is_refused(self):
+        with pytest.raises(ValueError, match="above the double range"):
+            Quaternion(0.0, 5e-324, 0.0, 0.0).inverse()
+
     def test_conjugation_reverses_products(self):
         rng = np.random.default_rng(3)
         p = random_quaternion(rng)
@@ -157,6 +170,15 @@ class TestBoundaryPoint:
         p = BoundaryPoint.from_quaternion(Quaternion(-1.0))
         assert p.unit == REFERENCE_UNIT
         assert p.angle == pytest.approx(math.pi)
+
+    @pytest.mark.parametrize("angle", [5e-13, 5e-15])
+    def test_near_real_point_reads_as_real(self, angle):
+        # one cutoff: an imaginary part too short for ImaginaryUnit to
+        # normalize is the imaginary part of a real point
+        q = Quaternion(math.cos(angle), math.sin(angle), 0.0, 0.0)
+        p = BoundaryPoint.from_quaternion(q)
+        assert p.unit == REFERENCE_UNIT
+        assert p.to_quaternion().isclose(q, tol=1e-12)
 
     def test_rejects_non_unit_modulus(self):
         with pytest.raises(ValueError):

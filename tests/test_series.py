@@ -265,6 +265,26 @@ class TestStarAlgebra:
             denom = max(abs(expected), 1.0)
             assert abs(got - expected) / denom < 1e-9
 
+    def test_star_reciprocal_and_product_scale_exactly(self):
+        # (f c)^-* = c^-1 f^-*, and f 2^-600 vanishes nowhere f does not:
+        # both cutoffs read relative to the scale of f
+        rng = np.random.default_rng(35)
+        for _ in range(10):
+            f, g = random_series(rng, -3, 3), random_series(rng, -3, 3)
+            small = SliceLaurentSeries({n: a * 2.0 ** -600 for n, a in f.coeffs.items()})
+            p = BoundaryPoint(sample_sphere(rng), float(rng.uniform(0, 2 * math.pi)))
+            assert recip_star_at(small, p) == recip_star_at(f, p) * 2.0 ** 600
+            assert star_eval(small, g, p) == star_eval(f, g, p) * 2.0 ** -600
+
+    @pytest.mark.parametrize("angle", [5e-13, 5e-15])
+    def test_star_eval_near_real_point(self, angle):
+        # f(p)^-1 p f(p) has an imaginary part of about the angle, which
+        # must read as real rather than reach ImaginaryUnit
+        f = SliceLaurentSeries({1: ONE + 0.5 * J})
+        g = SliceLaurentSeries({2: I})
+        p = BoundaryPoint(ImaginaryUnit(0.0, 1.0, 0.0), angle)
+        assert abs(star_eval(f, g, p) - evaluate(star_mul(f, g), p)) <= 1e-11
+
     def test_star_eval_zero_at_vanishing_point(self):
         f = SliceLaurentSeries({0: -1.0 * ONE, 1: ONE})  # q - 1, vanishes at 1
         g = SliceLaurentSeries({1: ONE})
