@@ -180,10 +180,11 @@ def build_hankel_matrix(alpha: Sequence[Quaternion], N: int) -> HankelMatrix:
 
 def hankel_from_symbol(phi: SliceLaurentSeries, N: int) -> HankelMatrix:
     """M[j][k] = phi_hat(-1-j-k) for 0 <= j, k < N, i.e. the Hankel matrix of
-    alpha(m) = phi_hat(-1-m).  Only the coefficients down to the depth -n_min
-    are read; every antidiagonal entry past it is zero."""
-    depth = min(2 * N - 1, -phi.n_min)
-    return build_hankel_matrix([phi.coefficient(-1 - m) for m in range(depth)], N)
+    alpha(m) = phi_hat(-1-m), placed from phi's rows at n = -1 .. 1 - 2N."""
+    antidiagonal = np.zeros((max(2 * N - 1, 0), 4))
+    inside = (phi.exps < 0) & (phi.exps >= 1 - 2 * N)
+    antidiagonal[-1 - phi.exps[inside]] = phi.rows[inside]
+    return HankelMatrix(antidiagonal)
 
 
 def apply_H(phi: SliceLaurentSeries, f: SliceLaurentSeries) -> SliceLaurentSeries:
@@ -357,7 +358,8 @@ def shift_T_adj(f: SliceLaurentSeries) -> SliceLaurentSeries:
     """Backward shift: drop f_hat(0) and shift down."""
     if f.n_min < 0:
         raise ValueError("input must be supported in n >= 0")
-    return SliceLaurentSeries({n - 1: a for n, a in f.coeffs.items() if n >= 1})
+    keep = f.exps >= 1
+    return SliceLaurentSeries.from_rows(f.exps[keep] - 1, f.rows[keep])
 
 
 def commutation_residual(r: QuaternionMatrix) -> float:

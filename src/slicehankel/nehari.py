@@ -106,16 +106,13 @@ def maximizing_vector(phi: SliceLaurentSeries,
         raise ValueError("zero operator has no maximizing vector")
     comps = deembed_vector(v)
     mags = np.sqrt(np.sum(np.square(comps), axis=1))
-    keep = mags > 1e-13 * float(np.max(mags))
-    g = SliceLaurentSeries(
-        {k: Quaternion(*comps[k]) for k in range(len(comps)) if keep[k]}
-    )
-    n0 = g.n_min
-    lead = g.coefficient(n0)
-    g = g.times_right(lead.conjugate())
+    keep = np.flatnonzero(mags > 1e-13 * float(np.max(mags)))
+    lead = Quaternion(*comps[keep[0]].tolist())
+    rows = arrays.mul(comps[keep], np.array(lead.conjugate().components()))
     # lead * conj(lead) has norm_sq as its real part to the bit, but its
     # imaginary part vanishes only up to rounding: store the exact value
-    g.coeffs[n0] = Quaternion(lead.norm_sq())
+    rows[0] = (lead.norm_sq(), 0.0, 0.0, 0.0)
+    g = SliceLaurentSeries.from_rows(keep, rows)
     return g.times_right(Quaternion(1.0 / l2_norm(g)))
 
 
@@ -169,9 +166,8 @@ def constructive_best_approx(
     mass = float(np.linalg.norm(f[:, half:]))
     comps = arrays.from_pairs(*f[:, :half])
     mods = arrays.norm(comps)
-    kept = np.argsort(mods)[np.cumsum(np.sort(mods)) > _DROP_L1 * distance]
-    best = SliceLaurentSeries(
-        {int(n): Quaternion(*comps[n]) for n in np.sort(kept)})
+    kept = np.sort(np.argsort(mods)[np.cumsum(np.sort(mods)) > _DROP_L1 * distance])
+    best = SliceLaurentSeries.from_rows(kept, comps[kept])
     return ConstructiveResult(best, distance, mass, excluded_fraction, status)
 
 
@@ -467,9 +463,8 @@ def optimize_distance(
     check = _HalfGrid(plus, roots, degree)
     tol = 1e-6 * max(1.0, float(np.max(check.sups(np.zeros(4 * d1)))))
     x = np.zeros(4 * d1)
-    for n, a in project_plus(phi).coeffs.items():
-        if n <= degree:
-            x[4 * n: 4 * n + 4] = a.components()
+    start = (phi.exps >= 0) & (phi.exps <= degree)
+    x.reshape(d1, 4)[phi.exps[start]] = phi.rows[start]
     best_x, best = x, float(np.max(check.sups(x)))
     evaluations, iterates, lower = 1, [best], 0.0
     stride = max(1, grid // max(256, 2 * d1))
@@ -505,9 +500,8 @@ def optimize_distance(
         else:
             tau *= 20.0
 
-    coeffs = {n: Quaternion(*c) for n, c in enumerate(best_x.reshape(d1, 4))}
     return OptimizeResult(
-        best_approx=SliceLaurentSeries(coeffs),
+        best_approx=SliceLaurentSeries.from_rows(np.arange(d1), best_x.reshape(d1, 4)),
         distance=best,
         iterates=iterates,
         evaluations=evaluations,
@@ -604,9 +598,7 @@ def approximation_report(
         optimizer_lower_bound=back(opt.lower_bound, "optimizer_lower_bound"),
         constructive_status=cons.status,
         excluded_fraction=cons.excluded_fraction,
-        best_approx=SliceLaurentSeries({
-            n: Quaternion(*(back(c, "best_approx") for c in a.components()))
-            for n, a in best.coeffs.items()}),
+        best_approx=SliceLaurentSeries.from_rows(best.exps, back(best.rows, "best_approx")),
     )
 
 

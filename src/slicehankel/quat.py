@@ -192,7 +192,7 @@ class BoundaryPoint:
 
     @classmethod
     def from_quaternion(cls, q: Quaternion) -> "BoundaryPoint":
-        """Write a unit quaternion as e^{tI} with t in [0, pi].
+        """Write a unit quaternion as e^{tI}, t = atan2(|Im q|, Re q) in [0, pi].
 
         For (near-)real q the imaginary axis is immaterial (sin(nt) = 0);
         the reference unit is used.
@@ -200,9 +200,8 @@ class BoundaryPoint:
         n = abs(q)
         if abs(n - 1.0) > 1e-9:
             raise ValueError("not a boundary point: modulus differs from 1")
-        w = min(1.0, max(-1.0, q.w / n))
-        t = math.acos(w)
         im = q.imag_norm()
+        t = math.atan2(im, q.w)
         if im < _NEAR_REAL:
             return cls(REFERENCE_UNIT, t)
         return cls(ImaginaryUnit(q.x, q.y, q.z), t)

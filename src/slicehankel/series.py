@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from math import fsum, ldexp
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -44,25 +45,41 @@ __all__ = [
     "loads_series",
 ]
 
-_ZERO = Quaternion()
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+# exponents are int64: below 2^62 in size, |n| and n +- 1 cannot wrap
+_MAX_EXP = 2**62
 
 
 class SliceLaurentSeries:
-    """Finite-support coefficient map n -> a_n storing exactly the a_n with
-    a nonzero component, however small: equality is dict equality."""
+    """Finite-support map n -> a_n as a sorted int64 array ``exps`` and an
+    (m, 4) array ``rows`` of (w, x, y, z), both read-only, holding exactly the
+    a_n with a nonzero component, however small: equality is array equality."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("exps", "rows")
 
     def __init__(self, coeffs: Mapping[int, Quaternion] | None = None):
-        self.coeffs: dict[int, Quaternion] = {}
-        if coeffs:
-            for n, a in coeffs.items():
-                if not isinstance(a, Quaternion):
-                    raise TypeError("coefficients must be quaternions")
-                if any(a.components()):
-                    self.coeffs[int(n)] = a
+        items = sorted((int(n), a) for n, a in (coeffs or {}).items())
+        for n, a in items:
+            if not isinstance(a, Quaternion):
+                raise TypeError("coefficients must be quaternions")
+            if abs(n) >= _MAX_EXP:
+                raise ValueError(f"exponent {n} outside the range |n| < 2^62")
+        f = self.from_rows([n for n, _ in items], [a.components() for _, a in items])
+        self.exps, self.rows = f.exps, f.rows
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def from_rows(cls, exps, rows) -> "SliceLaurentSeries":
+        """Copies of rows[i] at sorted distinct exps[i], all-zero rows dropped."""
+        rows = np.asarray(rows, dtype=float).reshape(-1, 4)
+        if not np.isfinite(rows).all():
+            raise ValueError("quaternion components must be finite")
+        keep = (rows != 0.0).any(axis=1)
+        f = cls.__new__(cls)
+        f.exps, f.rows = np.asarray(exps, dtype=np.int64)[keep], rows[keep]
+        f.exps.flags.writeable = f.rows.flags.writeable = False
+        return f
 
     @classmethod
     def zero(cls) -> "SliceLaurentSeries":
@@ -75,52 +92,70 @@ class SliceLaurentSeries:
     # -- structure --------------------------------------------------------
 
     def coefficient(self, n: int) -> Quaternion:
-        return self.coeffs.get(n, _ZERO)
+        i = int(np.searchsorted(self.exps, n))
+        if i < len(self.exps) and self.exps[i] == n:
+            return Quaternion(*self.rows[i].tolist())
+        return Quaternion()
+
+    @property
+    def coeffs(self) -> Mapping[int, Quaternion]:
+        """The read-only map n -> a_n in increasing n, built on each access."""
+        return MappingProxyType({n: Quaternion(*a) for n, a
+                                 in zip(self.exps.tolist(), self.rows.tolist())})
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
+        return tuple(self.exps.tolist())
 
     @property
     def n_min(self) -> int:
-        return min(self.coeffs, default=0)
+        return int(self.exps[0]) if len(self.exps) else 0
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self.exps)
 
     def __add__(self, other: "SliceLaurentSeries") -> "SliceLaurentSeries":
-        out = dict(self.coeffs)
-        for n, b in other.coeffs.items():
-            out[n] = out.get(n, _ZERO) + b
-        return SliceLaurentSeries(out)
+        exps, a, b = _aligned(self, other)
+        return SliceLaurentSeries.from_rows(exps, a + b)
 
     def __sub__(self, other: "SliceLaurentSeries") -> "SliceLaurentSeries":
-        out = dict(self.coeffs)
-        for n, b in other.coeffs.items():
-            out[n] = out.get(n, _ZERO) - b
-        return SliceLaurentSeries(out)
+        exps, a, b = _aligned(self, other)
+        return SliceLaurentSeries.from_rows(exps, a - b)
 
     def __neg__(self) -> "SliceLaurentSeries":
-        return SliceLaurentSeries({n: -a for n, a in self.coeffs.items()})
+        return SliceLaurentSeries.from_rows(self.exps, -self.rows)
 
     def times_right(self, c: Quaternion) -> "SliceLaurentSeries":
         """f . c, i.e. right multiplication of every coefficient by c."""
-        return SliceLaurentSeries({n: a * c for n, a in self.coeffs.items()})
+        return SliceLaurentSeries.from_rows(
+            self.exps, arrays.mul(self.rows, np.array(c.components())))
 
     def shifted(self, k: int) -> "SliceLaurentSeries":
-        return SliceLaurentSeries({n + k: a for n, a in self.coeffs.items()})
+        return SliceLaurentSeries.from_rows(self.exps + k, self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SliceLaurentSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (np.array_equal(self.exps, other.exps)
+                and np.array_equal(self.rows, other.rows))
 
     def __hash__(self) -> int:
-        return hash(tuple((n, self.coefficient(n).components()) for n in self.support))
+        return hash(tuple(zip(self.exps.tolist(), map(tuple, self.rows.tolist()))))
 
     def __repr__(self) -> str:
-        terms = ", ".join(f"{n}: {self.coefficient(n)!r}" for n in self.support)
+        terms = ", ".join(f"{n}: {a!r}" for n, a in self.coeffs.items())
         return f"SliceLaurentSeries({{{terms}}})"
+
+
+def _aligned(f: SliceLaurentSeries, g: SliceLaurentSeries):
+    """(exps, a, b): the joint support of f and g (np.union1d would import
+    numpy.ma) and the rows of each on it, zero where it has no coefficient."""
+    both = np.sort(np.concatenate([f.exps, g.exps]))
+    exps = both[np.diff(both, prepend=both[:1] - 1) != 0]
+    a, b = np.zeros((2, len(exps), 4))
+    a[np.searchsorted(exps, f.exps)] = f.rows
+    b[np.searchsorted(exps, g.exps)] = g.rows
+    return exps, a, b
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +174,17 @@ def evaluate(f: SliceLaurentSeries, p: BoundaryPoint) -> Quaternion:
     t = p.angle
     cw = cx = cy = cz = 0.0
     sw = sx = sy = sz = 0.0
-    for n, a in f.coeffs.items():
+    for n, (w, x, y, z) in zip(f.exps.tolist(), f.rows.tolist()):
         c = math.cos(n * t)
         s = math.sin(n * t)
-        cw += c * a.w
-        cx += c * a.x
-        cy += c * a.y
-        cz += c * a.z
-        sw += s * a.w
-        sx += s * a.x
-        sy += s * a.y
-        sz += s * a.z
+        cw += c * w
+        cx += c * x
+        cy += c * y
+        cz += c * z
+        sw += s * w
+        sx += s * x
+        sy += s * y
+        sz += s * z
     ux, uy, uz = p.unit.x, p.unit.y, p.unit.z
     return Quaternion(
         cw - ux * sx - uy * sy - uz * sz,
@@ -168,11 +203,9 @@ def _plus_samples(f: SliceLaurentSeries, grid: int) -> np.ndarray:
     A+ as the unscaled inverse FFT, and B+ likewise from the beta_n.
     """
     placed = np.zeros((2, grid), dtype=complex)
-    if f.coeffs:
-        ns = np.fromiter(f.coeffs, dtype=int, count=len(f.coeffs))
-        _grid_guard(int(np.abs(ns).max()), grid)
-        comps = np.array([a.components() for a in f.coeffs.values()])
-        placed[:, ns % grid] = arrays.to_pairs(comps)
+    if not f.is_zero():
+        _grid_guard(int(np.abs(f.exps).max()), grid)
+        placed[:, f.exps % grid] = arrays.to_pairs(f.rows)
     return np.fft.ifft(placed, norm="forward")
 
 
@@ -194,25 +227,24 @@ def _normalized(f: SliceLaurentSeries) -> tuple[SliceLaurentSeries, float]:
     component rounds, as any subnormal does, and may flush to zero beside a
     coefficient's larger ones.  A coefficient that would flush to zero whole
     is refused, as dropping it would change the support."""
-    tops = [max(abs(c) for c in a.components()) for a in f.coeffs.values()]
-    e = math.frexp(max(tops, default=1.0))[1] - 1
+    tops = np.abs(f.rows).max(axis=1)
+    e = math.frexp(float(tops.max()))[1] - 1 if len(tops) else 0
     if e == 0:
         return f, 1.0
-    if ldexp(min(tops), -e) == 0.0:
-        raise ValueError(f"symbol coefficient of size {min(tops)!r} flushes to zero "
+    if ldexp(float(tops.min()), -e) == 0.0:
+        raise ValueError(f"symbol coefficient of size {float(tops.min())!r} flushes to zero "
                          f"when the symbol is scaled by 2^{-e} to its largest")
-    scaled = {n: Quaternion(ldexp(a.w, -e), ldexp(a.x, -e), ldexp(a.y, -e), ldexp(a.z, -e))
-              for n, a in f.coeffs.items()}
-    return SliceLaurentSeries(scaled), ldexp(1.0, e)
+    return SliceLaurentSeries.from_rows(f.exps, np.ldexp(f.rows, -e)), ldexp(1.0, e)
 
 
-def _scale_back(value: float, scale: float, name: str) -> float:
-    """value * scale, the number of f from that of its ``_normalized`` f 2^-e,
-    refused when the product leaves the double range, where it would read
-    inf."""
+def _scale_back(value, scale: float, name: str):
+    """value * scale, the number (or the array of components) of f from that
+    of its ``_normalized`` f 2^-e, refused when a product leaves the double
+    range, where it would read inf."""
     out = value * scale
-    if not math.isfinite(out):
-        raise ValueError(f"{name} {value!r} * {scale!r} is above the double range")
+    if not np.all(np.isfinite(out)):
+        top = float(np.max(np.abs(value)))
+        raise ValueError(f"{name} {top!r} * {scale!r} is above the double range")
     return out
 
 
@@ -256,13 +288,9 @@ def star_mul(f: SliceLaurentSeries, g: SliceLaurentSeries) -> SliceLaurentSeries
     Each output component is an fsum over the fully expanded scalar products,
     so conj_c(star_mul(f, g)) == star_mul(conj_c(g), conj_c(f)) exactly.
     """
-    if not f.coeffs or not g.coeffs:
-        return SliceLaurentSeries.zero()
     buckets: dict[int, tuple[list, list, list, list]] = {}
-    for kf, a in f.coeffs.items():
-        aw, ax, ay, az = a.w, a.x, a.y, a.z
-        for kg, b in g.coeffs.items():
-            bw, bx, by, bz = b.w, b.x, b.y, b.z
+    for kf, (aw, ax, ay, az) in zip(f.exps.tolist(), f.rows.tolist()):
+        for kg, (bw, bx, by, bz) in zip(g.exps.tolist(), g.rows.tolist()):
             n = kf + kg
             bucket = buckets.get(n)
             if bucket is None:
@@ -273,29 +301,23 @@ def star_mul(f: SliceLaurentSeries, g: SliceLaurentSeries) -> SliceLaurentSeries
             lx += (aw * bx, ax * bw, ay * bz, -az * by)
             ly += (aw * by, -ax * bz, ay * bw, az * bx)
             lz += (aw * bz, ax * by, -ay * bx, az * bw)
-    out = {
-        n: Quaternion(fsum(lw), fsum(lx), fsum(ly), fsum(lz))
-        for n, (lw, lx, ly, lz) in buckets.items()
-    }
-    return SliceLaurentSeries(out)
+    ns = sorted(buckets)
+    return SliceLaurentSeries.from_rows(ns, [[fsum(c) for c in buckets[n]] for n in ns])
 
 
 def conj_c(f: SliceLaurentSeries) -> SliceLaurentSeries:
     """Regular conjugate: coefficient-wise quaternion conjugation."""
-    return SliceLaurentSeries({n: a.conjugate() for n, a in f.coeffs.items()})
+    return SliceLaurentSeries.from_rows(f.exps, f.rows * _CONJ)
 
 
 def symmetrize(f: SliceLaurentSeries) -> SliceLaurentSeries:
     """f^s = f * f^c; real coefficients, truncated to exactly real."""
     raw = star_mul(f, conj_c(f))
-    scale = fsum(a.norm_sq() for a in f.coeffs.values())
+    scale = fsum(arrays.norm_sq(f.rows).tolist())
     tol = 1e-12 * max(scale, 1.0)
-    out = {}
-    for n, c in raw.coeffs.items():
-        if c.imag_norm() > tol:
-            raise ArithmeticError("symmetrization produced a non-real coefficient")
-        out[n] = Quaternion(c.w)
-    return SliceLaurentSeries(out)
+    if np.any(arrays.norm(raw.rows[:, 1:]) > tol):
+        raise ArithmeticError("symmetrization produced a non-real coefficient")
+    return SliceLaurentSeries.from_rows(raw.exps, np.pad(raw.rows[:, :1], ((0, 0), (0, 3))))
 
 
 def recip_star_at(
@@ -332,22 +354,20 @@ def star_eval(
 
 
 def project_plus(f: SliceLaurentSeries) -> SliceLaurentSeries:
-    return SliceLaurentSeries({n: a for n, a in f.coeffs.items() if n >= 0})
+    keep = f.exps >= 0
+    return SliceLaurentSeries.from_rows(f.exps[keep], f.rows[keep])
 
 
 def project_minus(f: SliceLaurentSeries) -> SliceLaurentSeries:
-    return SliceLaurentSeries({n: a for n, a in f.coeffs.items() if n < 0})
+    keep = f.exps < 0
+    return SliceLaurentSeries.from_rows(f.exps[keep], f.rows[keep])
 
 
 def l2_inner(f: SliceLaurentSeries, g: SliceLaurentSeries) -> Quaternion:
     """<f, g> = sum_n conj(b_n) a_n over the joint support."""
-    keys = sorted(set(f.coeffs) | set(g.coeffs))
+    _, a, b = _aligned(f, g)
     lw, lx, ly, lz = [], [], [], []
-    for n in keys:
-        a = f.coefficient(n)
-        bc = g.coefficient(n).conjugate()
-        pw, px, py, pz = bc.w, bc.x, bc.y, bc.z
-        qw, qx, qy, qz = a.w, a.x, a.y, a.z
+    for (qw, qx, qy, qz), (pw, px, py, pz) in zip(a.tolist(), (b * _CONJ).tolist()):
         lw += (pw * qw, -px * qx, -py * qy, -pz * qz)
         lx += (pw * qx, px * qw, py * qz, -pz * qy)
         ly += (pw * qy, -px * qz, py * qw, pz * qx)
@@ -356,11 +376,7 @@ def l2_inner(f: SliceLaurentSeries, g: SliceLaurentSeries) -> Quaternion:
 
 
 def l2_norm(f: SliceLaurentSeries) -> float:
-    return math.sqrt(fsum(
-        v for n in sorted(f.coeffs)
-        for v in (f.coeffs[n].w ** 2, f.coeffs[n].x ** 2,
-                  f.coeffs[n].y ** 2, f.coeffs[n].z ** 2)
-    ))
+    return math.sqrt(fsum(v ** 2 for v in f.rows.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +439,8 @@ def bmo_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
     The n = 0 coefficient is dropped first: oscillation ignores constants,
     and their squares would only add cancellation.
     """
-    f = SliceLaurentSeries({n: a for n, a in f.coeffs.items() if n != 0})
+    keep = f.exps != 0
+    f = SliceLaurentSeries.from_rows(f.exps[keep], f.rows[keep])
     f, scale = _normalized(f)
     plus = _plus_samples(f, grid)
     res = np.concatenate([plus, _reversed(plus)], axis=-1)
@@ -449,9 +466,8 @@ def bmo_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
 
 def dumps_series(f: SliceLaurentSeries) -> str:
     lines = ["# slice laurent series: n w x y z"]
-    for n in sorted(f.coeffs):
-        a = f.coeffs[n]
-        lines.append(f"{n} {a.w!r} {a.x!r} {a.y!r} {a.z!r}")
+    for n, (w, x, y, z) in zip(f.exps.tolist(), f.rows.tolist()):
+        lines.append(f"{n} {w!r} {x!r} {y!r} {z!r}")
     return "\n".join(lines) + "\n"
 
 

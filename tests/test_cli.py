@@ -190,6 +190,7 @@ class TestConfig:
             outputs.append(run(capsys, [command, "--symbol", str(path),
                                         *SYMBOL_FAST[command]]))
         (code0, out0, err0), (code, out, err) = outputs
+        assert code0 == 0
         assert (code, err) == (code0, err0)
         lines0, lines = out0.splitlines(), out.splitlines()
         assert len(lines) == len(lines0)
@@ -230,6 +231,18 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "above the double range" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["norm", "distance"])
+    def test_exponent_beyond_range_is_usage_error(self, tmp_path, capsys, command):
+        # past int64, and past the 2^62 the series refuses, not a traceback
+        path = tmp_path / "far.txt"
+        path.write_text("100000000000000000000000000000 1.0 0 0 0\n")
+        code, out, err = run(capsys, [command, "--symbol", str(path),
+                                      *SYMBOL_FAST[command]])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "100000000000000000000000000000" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_duplicate_exponent_is_usage_error(self, tmp_path, capsys):

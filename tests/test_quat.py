@@ -162,6 +162,15 @@ class TestBoundaryPoint:
             back = BoundaryPoint.from_quaternion(p.to_quaternion())
             assert back.to_quaternion().isclose(p.to_quaternion(), tol=1e-9)
 
+    @pytest.mark.parametrize("a", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11])
+    def test_round_trip_near_zero_and_pi(self, a):
+        # acos(w) is flat at w = +-1: it read cos a + i sin a as angle 0
+        unit = ImaginaryUnit(1.0, 2.0, 2.0)
+        for t in (a, math.pi - a):
+            back = BoundaryPoint.from_quaternion(exp_unit(t, unit))
+            assert back.angle == pytest.approx(t, rel=2e-15, abs=0.0)
+            assert back.unit.as_quaternion().isclose(unit.as_quaternion(), tol=1e-15)
+
     def test_angle_reduced_mod_two_pi(self):
         p = BoundaryPoint(REFERENCE_UNIT, 2 * math.pi + 0.25)
         assert p.angle == pytest.approx(0.25)

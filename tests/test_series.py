@@ -586,3 +586,95 @@ class TestSerialization:
         # a second record for n = -1 must not replace the first silently
         with pytest.raises(ValueError, match="line 3: duplicate exponent -1"):
             loads_series("-1 1.0 0 0 0\n# again\n-1 5.0 0 0 0\n")
+
+
+# components mixing signed zeros, subnormals and normals, so that a row can
+# be all zero, all -0.0, or differ from another only in the sign of a zero
+_EDGE_COMPONENTS = np.array([0.0, -0.0, 5e-324, -1e-310, 1.0, -2.5, 1e300])
+
+
+def edge_series(rng, lo=-5, hi=5):
+    return SliceLaurentSeries({
+        n: Quaternion(*rng.choice(_EDGE_COMPONENTS, size=4))
+        for n in range(lo, hi + 1) if rng.random() < 0.7
+    })
+
+
+def bits(f):
+    """f's exponents and its components' bit patterns: -0.0 and 0.0 differ."""
+    return f.exps.tolist(), f.rows.view(np.int64).tolist()
+
+
+def expected_bits(coeffs):
+    """bits() of a series holding the per-coefficient results coeffs, with
+    the all-zero ones left out, as a series leaves them out."""
+    kept = sorted((n, a.components()) for n, a in coeffs.items() if any(a.components()))
+    rows = np.array([c for _, c in kept], dtype=float).reshape(-1, 4)
+    return [n for n, _ in kept], rows.view(np.int64).tolist()
+
+
+class TestArrayStore:
+    def test_operations_match_per_coefficient_arithmetic(self):
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            f, g = edge_series(rng), edge_series(rng, -3, 8)
+            c = Quaternion(*rng.choice(_EDGE_COMPONENTS[:6], size=4))
+            joint = set(f.support) | set(g.support)
+            cases = [
+                (f + g, {n: f.coefficient(n) + g.coefficient(n) for n in joint}),
+                (f - g, {n: f.coefficient(n) - g.coefficient(n) for n in joint}),
+                (-f, {n: -a for n, a in f.coeffs.items()}),
+                (f.times_right(c), {n: a * c for n, a in f.coeffs.items()}),
+                (f.shifted(-3), {n - 3: a for n, a in f.coeffs.items()}),
+                (conj_c(f), {n: a.conjugate() for n, a in f.coeffs.items()}),
+                (project_plus(f), {n: a for n, a in f.coeffs.items() if n >= 0}),
+                (project_minus(f), {n: a for n, a in f.coeffs.items() if n < 0}),
+            ]
+            for got, coeffs in cases:
+                assert bits(got) == expected_bits(coeffs)
+            assert (f - f).is_zero() and (f + -f).is_zero()
+
+    def test_zero_rows_dropped(self):
+        f = SliceLaurentSeries({0: Quaternion(-0.0, -0.0, -0.0, -0.0), 1: Quaternion(),
+                                2: Quaternion(0.0, -0.0, 0.0, 5e-324)})
+        assert f.support == (2,)
+        rows = np.array([[-0.0, -0.0, -0.0, -0.0], [0.0, 0.0, 0.0, 0.0], [-0.0, 1.0, 0.0, 0.0]])
+        g = SliceLaurentSeries.from_rows([-4, 0, 6], rows)
+        assert g.support == (6,) and bits(g)[1] == rows[2:].view(np.int64).tolist()
+
+    def test_store_rejects_writes(self):
+        rows = np.array([[1.0, 2.0, 3.0, 4.0]])
+        f = SliceLaurentSeries.from_rows([3], rows)
+        rows[0, 0] = 9.0  # from_rows copies its input
+        assert f.coefficient(3) == Quaternion(1.0, 2.0, 3.0, 4.0)
+        with pytest.raises(ValueError):
+            f.exps[0] = 4
+        with pytest.raises(ValueError):
+            f.rows[0, 0] = 5.0
+        with pytest.raises(TypeError):
+            f.coeffs[3] = ONE
+        assert f == SliceLaurentSeries({3: Quaternion(1.0, 2.0, 3.0, 4.0)})
+
+    def test_sign_of_zero_equal_and_same_hash(self):
+        f = SliceLaurentSeries({1: Quaternion(1.0, 0.0, -0.0, 2.0)})
+        g = SliceLaurentSeries({1: Quaternion(1.0, -0.0, 0.0, 2.0)})
+        assert bits(f) != bits(g)
+        assert f == g and hash(f) == hash(g)
+
+    def test_repr_pinned(self):
+        # the benchmark's input digest hashes this text
+        f = SliceLaurentSeries({3: Quaternion(0.1, -0.0, 2.5e-300, 1e300),
+                                -2: Quaternion(-1.0),
+                                0: Quaternion(0.0, 0.0, -0.0, 5e-324),
+                                7: Quaternion(-0.0, -0.0, 0.0, 0.0)})
+        assert repr(f) == (
+            "SliceLaurentSeries({-2: Quaternion(-1.0, 0.0, 0.0, 0.0), "
+            "0: Quaternion(0.0, 0.0, -0.0, 5e-324), "
+            "3: Quaternion(0.1, -0.0, 2.5e-300, 1e+300)})")
+
+    def test_exponent_range(self):
+        edge = 2**62
+        assert SliceLaurentSeries({edge - 1: ONE, 1 - edge: ONE}).support == (1 - edge, edge - 1)
+        for n in (edge, -edge, 10**29):
+            with pytest.raises(ValueError, match=f"exponent {n} outside"):
+                SliceLaurentSeries({n: ONE})
