@@ -51,8 +51,8 @@ __all__ = ["ExperimentConfig", "main"]
 # size caps checked before anything is allocated: the sampling grid sizes
 # every boundary array, --n the Hilbert matrices, --degree the optimizer's
 # Hessian and a symbol's depth -n_min its Hankel block.  At degree 256 and
-# grid 2^20, distance on tests/golden/depth3.txt took 3.6 s and 310 MB peak
-# RSS, on a working set of 343 points.  Above 96 a Hankel norm needs O(N)
+# grid 2^20, distance on tests/golden/depth3.txt took 2.9-4.0 s and 240 MB
+# peak RSS, on a working set of 343 points.  Above 96 a Hankel norm needs O(N)
 # memory (FFT Lanczos): maximizing_vector at depth 1024 took 0.06 s and
 # 40 MB, and hilbert --n 65536 1.1-1.3 s and 124 MB (one BLAS thread, 2
 # vCPUs).  Coefficient sizes need no cap: every routine runs on the symbol

@@ -153,16 +153,20 @@ def constructive_best_approx(
             return ConstructiveResult(project_plus(phi), dist, 0.0, 0.0, "ok")
         g = maximizing_vector(phi)
     plus = _plus_samples(phi, grid)
-    corr, excl = _quotient_samples(plus, g, grid)
+    quot, excl = _quotient_samples(plus, g, grid)
     excluded = excl | _reversed(excl)
-    vals = _sup_values(_half_samples(corr))
+    vals = _sup_values(_half_samples(quot))
     good = ~excluded[:len(vals)]
     distance = float(np.max(vals[good])) if np.any(good) else 0.0
     excluded_fraction = float(np.mean(excluded))
     status = "warning" if excluded_fraction > 0.01 else "ok"
 
-    # f = phi - h * g^{-*} at e^{it} to coefficients, n >= 0 in the first half
-    f, half = np.fft.fft(plus - corr) / grid, (grid + 1) // 2
+    # f = phi - h * g^{-*} at e^{it}, written over the quotient, to
+    # coefficients (n >= 0 in the first half)
+    f = np.subtract(plus, quot, out=quot)
+    np.fft.fft(f, out=f)
+    f /= grid
+    half = (grid + 1) // 2
     mass = float(np.linalg.norm(f[:, half:]))
     comps = arrays.from_pairs(*f[:, :half])
     mods = arrays.norm(comps)
@@ -180,22 +184,39 @@ def _quotient_samples(plus: np.ndarray, g: SliceLaurentSeries, grid: int):
     and zeroing its FFT bins n >= 0, 0 .. (grid + 1) // 2 - 1, gives h; g's
     grid rule keeps phi * g out of the n < 0 bins.  g^{-*} = g^c * (g^s)^{-*}
     with g^s real, so the quotient is (h * g^c)(p) / g^s(p) on both pairs:
-    g^s = A+ mA + B+ mB and h * g^c = (hA mA + hB mB, hB A+ - hA B+).
+    g^s = A+ mA + B+ mB and h * g^c = (hA mA + hB mB, hB A+ - hA B+).  The
+    quotient is written over h; its row 1 is formed first, in g's samples.
     """
     if g.n_min < 0:
         raise ValueError("input must be supported in n >= 0")
     gplus = _plus_samples(g, grid)
-    (ga, gb), (ma, mb), (pa, pb) = gplus, np.conj(_reversed(gplus)), plus
-    h = np.stack([pa * ga - pb * mb, pa * gb + pb * ma])
+    m = _reversed(gplus)
+    np.conj(m, out=m)
+    (ga, gb), (ma, mb), (pa, pb) = gplus, m, plus
+    h = np.empty_like(gplus)
+    np.multiply(pa, ga, out=h[0])
+    h[0] -= pb * mb
+    np.multiply(pa, gb, out=h[1])
+    h[1] += pb * ma
     np.fft.fft(h, out=h)
     h[:, :(grid + 1) // 2] = 0.0
     ha, hb = np.fft.ifft(h, out=h)
-    gs = ga * ma + gb * mb
-    excl = gs.real ** 2 + gs.imag ** 2 <= 1e-20
+    gs = ga * ma
+    gs += gb * mb
+    norm_sq = np.square(gs.real)
+    norm_sq += np.square(gs.imag)
+    excl = norm_sq <= 1e-20
     gs[excl] = 1.0
-    corr = np.stack([ha * ma + hb * mb, hb * ga - ha * gb]) / gs
-    corr[:, excl] = 0.0
-    return corr, excl
+    np.multiply(hb, ga, out=ga)
+    np.multiply(ha, gb, out=gb)
+    np.subtract(ga, gb, out=ga)
+    np.multiply(hb, mb, out=mb)
+    np.multiply(ha, ma, out=ha)
+    np.add(ha, mb, out=ha)
+    hb[:] = ga
+    h /= gs
+    h[:, excl] = 0.0
+    return h, excl
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +269,11 @@ def _hessian_index(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return hx1, 16 * (2 * degree + 1) + lo.reshape(shape)
 
 
+def _roots(grid: int, k: np.ndarray) -> np.ndarray:
+    """The roots of unity e^{2 pi i k / grid} at integers 0 <= k < grid."""
+    return np.exp((2j * np.pi / grid) * k)
+
+
 _Point = namedtuple("_Point", "s x res d e a b ab qc")  # see _WorkingSet.point
 
 # The exchange adds no points past this many entries (32 MiB) in a working
@@ -263,24 +289,26 @@ class _WorkingSet:
     degree.  M_{-t} has the singular values of M_t, so a point whose mirror
     -k mod grid is not in idx counts twice (weight w = 2); nu = 4 sum w.
 
-    The samples and the powers e^{ikt} at the points are gathered from
-    phi's + samples ``plus`` and the solve's table ``roots`` of
-    e^{2 pi i j / grid}; ``index`` is the solve's ``_hessian_index``.  The
-    samples are kept as [[A+ | A-], [B+ | B-]], the layout of _sup_terms and
-    of f @ [e | conj e] for f's coefficient pairs."""
+    The samples at the points and their mirrors are gathered from phi's
+    samples in the half layout of ``_half_samples``, where index k of the
+    grid is column k for k <= grid // 2 and column half + grid - k above;
+    ``index`` is the solve's ``_hessian_index``.  The samples are kept as
+    [[A+ | A-], [B+ | B-]], the layout of _sup_terms and of f @ [e | conj e]
+    for f's coefficient pairs."""
 
-    def __init__(self, plus: np.ndarray, idx: np.ndarray, roots: np.ndarray,
+    def __init__(self, samples: np.ndarray, idx: np.ndarray, grid: int,
                  degree: int, index: tuple[np.ndarray, np.ndarray]):
-        grid, width, d1 = len(roots), len(idx), degree + 1
+        width, d1, half = len(idx), degree + 1, grid // 2 + 1
         self.idx, self.degree = idx, degree
         mirror = -idx % grid
         member = np.zeros(grid, dtype=bool)
         member[idx] = True
         self.w = np.where(member[mirror], 1.0, 2.0)
         self.nu = 4.0 * float(np.sum(self.w))
-        self.samples = plus.take(np.concatenate([idx, mirror]), axis=1)
+        k = np.concatenate([idx, mirror])
+        self.samples = samples.take(np.where(k < half, k, half + grid - k), axis=1)
         # e^{ikt} for k = 0 .. 2 degree: the Hessian needs n + m and n - m
-        epow = roots[np.outer(np.arange(2 * degree + 1), idx) % grid]
+        epow = _roots(grid, np.outer(np.arange(2 * degree + 1), idx) % grid)
         self.e = np.concatenate([epow[:d1], np.conj(epow[:d1])], axis=1)
         self.wepow = epow * self.w
         self.mh = np.empty((2, 2, width), dtype=complex)
@@ -364,35 +392,36 @@ class _WorkingSet:
 class _HalfGrid:
     """The full-grid check: the sup of |phi - f| at e^{+-it_k},
     k = 0 .. grid // 2, which covers the grid as the sup is even in t.
+    ``phi`` holds phi's samples in the half layout of ``_half_samples``.
 
     f is evaluated on the whole grid by one batched inverse FFT of length
-    L, the least divisor of grid above degree: with M = grid / L and
-    k = r + M j, f(e^{it_k}) = sum_n (f_n e^{int_r}) e^{2 pi i nj / L}, so
-    the FFT along n of the (L, M) table f_n e^{int_r} lands in grid order.
-    Its output buffer repeats column 0 at the end, so the - rows at index
-    -k are a reversed view of it."""
+    L, the least divisor of grid above degree, in place in ``table``: with
+    M = grid / L and k = r + M j, f(e^{it_k}) = sum_n (f_n e^{int_r})
+    e^{2 pi i nj / L}, so the FFT along n of the (L, M) table f_n e^{int_r}
+    lands in grid order.  The - rows at index -k read it reversed."""
 
-    def __init__(self, plus: np.ndarray, roots: np.ndarray, degree: int):
-        grid, d1 = len(roots), degree + 1
+    def __init__(self, phi: SliceLaurentSeries, grid: int, degree: int):
+        d1 = degree + 1
         lengths = np.arange(d1, grid + 1)
         length = int(lengths[grid % lengths == 0][0])
-        self.half = grid // 2 + 1
-        self.phi = _half_samples(plus)
+        self.phi = _half_samples(_plus_samples(phi, grid))
         self.res = np.empty_like(self.phi)
-        self.twiddle = roots[np.outer(np.arange(d1), np.arange(grid // length))]
-        self.table = np.zeros((2, length, grid // length), dtype=complex)
-        self.values = np.empty((2, grid + 1), dtype=complex)
+        self.twiddle = _roots(grid, np.outer(np.arange(d1), np.arange(grid // length)))
+        self.table = np.empty((2, length, grid // length), dtype=complex)
 
     def sups(self, x: np.ndarray) -> np.ndarray:
-        res, half, values = self.res, self.half, self.values
-        grid = values.shape[1] - 1
+        res, table = self.res, self.table
+        half, d1 = res.shape[1] // 2, len(self.twiddle)
         f = x.reshape(-1, 4).view(complex)  # the coefficient pairs of f
-        np.multiply(f.T[:, :, None], self.twiddle, out=self.table[:, :len(f)])
-        np.fft.ifft(self.table, axis=1, norm="forward",
-                    out=values[:, :grid].reshape(self.table.shape))
-        values[:, grid] = values[:, 0]
+        np.multiply(f.T[:, :, None], self.twiddle, out=table[:, :d1])
+        table[:, d1:] = 0.0  # the last call's FFT wrote over the rows above degree
+        np.fft.ifft(table, axis=1, norm="forward", out=table)
+        values = table.reshape(2, -1)
+        grid = values.shape[1]
         np.subtract(self.phi[:, :half], values[:, :half], out=res[:, :half])
-        np.subtract(self.phi[:, half:], values[:, grid:grid - half:-1], out=res[:, half:])
+        np.subtract(self.phi[:, half], values[:, 0], out=res[:, half])
+        np.subtract(self.phi[:, half + 1:], values[:, grid - 1:grid - half:-1],
+                    out=res[:, half + 1:])
         return _sup_values(res)
 
 
@@ -439,9 +468,9 @@ def optimize_distance(
     itself and its mirror -k (1 at k = 0 and grid / 2).  The bound
     s - (nu + (lam + sqrt nu) lam / (1 - lam)) / tau (nu = 4 sum of the
     weights, lam the Newton decrement; Nesterov 2004, Thm 4.2.7) is
-    ``lower_bound``.  One table of the roots of unity e^{2 pi i j / grid}
-    and one pair of Hessian index tables serve every working set of the
-    solve, and the roots also the full-grid check.
+    ``lower_bound``.  phi's samples are held once, in the full-grid check's
+    half layout, which every working set gathers from; one pair of Hessian
+    index tables serves every working set of the solve.
 
     The iterates, the best full-grid value after each outer step, are exact
     sups for admissible competitors.  ``converged``: the last is within 1e-6
@@ -457,21 +486,16 @@ def optimize_distance(
         raise ValueError("budget must be positive")
     _grid_guard(degree, grid)
     d1, half = degree + 1, grid // 2 + 1
-    plus = _plus_samples(phi, grid)
-    roots = np.exp((2j * np.pi / grid) * np.arange(grid))
     index = _hessian_index(degree)
-    check = _HalfGrid(plus, roots, degree)
-    tol = 1e-6 * max(1.0, float(np.max(check.sups(np.zeros(4 * d1)))))
+    check = _HalfGrid(phi, grid, degree)
+    tol = 1e-6 * max(1.0, float(np.max(_sup_values(check.phi))))
     x = np.zeros(4 * d1)
     start = (phi.exps >= 0) & (phi.exps <= degree)
     x.reshape(d1, 4)[phi.exps[start]] = phi.rows[start]
     best_x, best = x, float(np.max(check.sups(x)))
     evaluations, iterates, lower = 1, [best], 0.0
     stride = max(1, grid // max(256, 2 * d1))
-    ws = _WorkingSet(plus, np.arange(0, half, stride), roots, degree, index)
-    # the neighbours of each half-grid point, reflected at both ends
-    k = np.arange(half)
-    left, right = (np.minimum(m % grid, -m % grid) for m in (k - 1, k + 1))
+    ws = _WorkingSet(check.phi, np.arange(0, half, stride), grid, degree, index)
     s, tau = 1.05 * best, ws.nu / best if best else 0.0
     # one evaluation is kept back for the full-grid check of the last point
     while best - lower > tol and evaluations < budget - 1:
@@ -487,7 +511,10 @@ def optimize_distance(
         if full < best:
             best, best_x = full, x
         iterates.append(best)
-        peak = (vals > s) & (vals >= vals[left]) & (vals >= vals[right])
+        # the neighbours of each half-grid point, reflected at both ends:
+        # 1 left of 0 and grid - half right of grid // 2
+        near = np.concatenate([vals[1:2], vals, vals[grid - half:grid - half + 1]])
+        peak = (vals > s) & (vals >= near[:-2]) & (vals >= near[2:])
         peak[ws.idx] = False
         new = np.flatnonzero(peak)
         if new.size:
@@ -495,7 +522,8 @@ def optimize_distance(
             idx = np.sort(np.concatenate([ws.idx, new]))
             if (6 * degree + 60) * len(idx) > _WS_ENTRIES:
                 break
-            ws = _WorkingSet(plus, idx, roots, degree, index)
+            del ws  # its tables go before the next set's are built
+            ws = _WorkingSet(check.phi, idx, grid, degree, index)
             s, tau = full + 0.01 * (full - lower), ws.nu / (full - lower)
         else:
             tau *= 20.0

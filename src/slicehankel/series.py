@@ -62,8 +62,7 @@ class SliceLaurentSeries:
         for n, a in items:
             if not isinstance(a, Quaternion):
                 raise TypeError("coefficients must be quaternions")
-            if abs(n) >= _MAX_EXP:
-                raise ValueError(f"exponent {n} outside the range |n| < 2^62")
+            _exponent_guard(n)
         f = self.from_rows([n for n, _ in items], [a.components() for _, a in items])
         self.exps, self.rows = f.exps, f.rows
 
@@ -71,13 +70,17 @@ class SliceLaurentSeries:
 
     @classmethod
     def from_rows(cls, exps, rows) -> "SliceLaurentSeries":
-        """Copies of rows[i] at sorted distinct exps[i], all-zero rows dropped."""
+        """Copies of rows[i] at sorted distinct exps[i], all-zero rows dropped;
+        an exponent with |n| >= 2^62 is refused, as by the mapping constructor."""
+        exps = np.asarray(exps, dtype=np.int64)
+        for n in (exps.min(), exps.max()) if len(exps) else ():
+            _exponent_guard(int(n))
         rows = np.asarray(rows, dtype=float).reshape(-1, 4)
         if not np.isfinite(rows).all():
             raise ValueError("quaternion components must be finite")
         keep = (rows != 0.0).any(axis=1)
         f = cls.__new__(cls)
-        f.exps, f.rows = np.asarray(exps, dtype=np.int64)[keep], rows[keep]
+        f.exps, f.rows = exps[keep], rows[keep]
         f.exps.flags.writeable = f.rows.flags.writeable = False
         return f
 
@@ -131,6 +134,8 @@ class SliceLaurentSeries:
             self.exps, arrays.mul(self.rows, np.array(c.components())))
 
     def shifted(self, k: int) -> "SliceLaurentSeries":
+        for n in self.exps[[0, -1]].tolist() if len(self.exps) else ():
+            _exponent_guard(n + k)  # before the int64 add, which would wrap
         return SliceLaurentSeries.from_rows(self.exps + k, self.rows)
 
     def __eq__(self, other) -> bool:
@@ -145,6 +150,12 @@ class SliceLaurentSeries:
     def __repr__(self) -> str:
         terms = ", ".join(f"{n}: {a!r}" for n, a in self.coeffs.items())
         return f"SliceLaurentSeries({{{terms}}})"
+
+
+def _exponent_guard(n) -> None:
+    """The one exponent rule of both constructors and ``shifted``: |n| < 2^62."""
+    if abs(n) >= _MAX_EXP:
+        raise ValueError(f"exponent {n} outside the range |n| < 2^62")
 
 
 def _aligned(f: SliceLaurentSeries, g: SliceLaurentSeries):
@@ -206,7 +217,7 @@ def _plus_samples(f: SliceLaurentSeries, grid: int) -> np.ndarray:
     if not f.is_zero():
         _grid_guard(int(np.abs(f.exps).max()), grid)
         placed[:, f.exps % grid] = arrays.to_pairs(f.rows)
-    return np.fft.ifft(placed, norm="forward")
+    return np.fft.ifft(placed, norm="forward", out=placed)
 
 
 def _grid_guard(reach: int, grid: int) -> None:
@@ -256,8 +267,13 @@ def _reversed(v: np.ndarray) -> np.ndarray:
 def _half_samples(plus: np.ndarray) -> np.ndarray:
     """[[A+ | A-], [B+ | B-]] at k = 0 .. grid // 2 from the + samples (A- at
     -k): the layout of _sup_values, which covers the grid as the sup is even."""
-    k = np.arange(plus.shape[-1] // 2 + 1)
-    return plus.take(np.concatenate([k, -k % plus.shape[-1]]), axis=-1)
+    grid = plus.shape[-1]
+    half = grid // 2 + 1
+    out = np.empty((*plus.shape[:-1], 2 * half), dtype=plus.dtype)
+    out[..., :half] = plus[..., :half]
+    out[..., half] = plus[..., 0]
+    out[..., half + 1:] = plus[..., :grid - half:-1]
+    return out
 
 
 def extend_from_slice(
@@ -397,20 +413,30 @@ def _sup_terms(res: np.ndarray):
     |A+|^2 + |B+|^2, d = minus - plus, qc = A+ B- - A- B+, e = hypot(d, 2|qc|).
     M_t = [[A+, B+], [conj B-, -conj A-]] has sigma^2 = (plus + minus +- e) / 2,
     with no fourth powers; swapping + and - keeps plus + minus and e to the bit.
+    d and plus + minus are written over the squares, and e over 2 |qc|.
     """
     width = res.shape[-1] // 2
-    sq = np.abs(res) ** 2
-    plus, minus = sq[0, :width] + sq[1, :width], sq[0, width:] + sq[1, width:]
-    qc = res[0, :width] * res[1, width:] - res[0, width:] * res[1, :width]
-    d = minus - plus
-    return plus + minus, d, np.hypot(d, 2.0 * np.abs(qc)), qc
+    qc = np.multiply(res[0, :width], res[1, width:])
+    qc -= res[0, width:] * res[1, :width]
+    sq = np.abs(res)
+    np.square(sq, out=sq)
+    plus, minus = sq[0, :width], sq[0, width:]
+    plus += sq[1, :width]
+    minus += sq[1, width:]
+    d = np.subtract(minus, plus, out=sq[1, :width])
+    total = np.add(plus, minus, out=sq[1, width:])
+    e = np.abs(qc)
+    e *= 2.0
+    return total, d, np.hypot(d, e, out=e), qc
 
 
 def _sup_values(res: np.ndarray) -> np.ndarray:
     """Pointwise sup over J of |f(e^{tJ})|, sigma_1 = sqrt((plus + minus +
     e) / 2), from the samples [[A+ | A-], [B+ | B-]] of _sup_terms."""
     total, _, e, _ = _sup_terms(res)
-    return np.sqrt((total + e) / 2)
+    e += total
+    e /= 2
+    return np.sqrt(e, out=e)
 
 
 def linf_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
@@ -435,28 +461,52 @@ def bmo_norm(f: SliceLaurentSeries, grid: int = 4096) -> float:
     mean_I Q(x) - Q(mean_I x) = mean_I Q(x - mean_I x) for every quadratic
     form Q, and plus + minus, d and qc of _sup_terms are quadratic forms in
     the samples, so the sphere-sup formula on these differences is the sup
-    over J of an arc's oscillation.  Prefix sums make every arc mean O(1).
-    The n = 0 coefficient is dropped first: oscillation ignores constants,
-    and their squares would only add cancellation.
+    over J of an arc's oscillation.  Prefix sums over one period make every
+    arc mean O(1).  The n = 0 coefficient is dropped first: oscillation
+    ignores constants, and their squares would only add cancellation.
     """
     keep = f.exps != 0
     f = SliceLaurentSeries.from_rows(f.exps[keep], f.rows[keep])
     f, scale = _normalized(f)
-    plus = _plus_samples(f, grid)
-    res = np.concatenate([plus, _reversed(plus)], axis=-1)
-    total, d, _, qc = _sup_terms(res)
-    # rows A+, A-, B+, B-, plus + minus, d, qc over two periods, prefix-summed
-    rows = np.concatenate([res.reshape(4, grid), [total, d, qc]])
-    prefix = np.zeros((7, 2 * grid + 1), dtype=complex)
-    np.cumsum(np.tile(rows, 2), axis=-1, out=prefix[:, 1:])
+    prefix = _bmo_prefix(_plus_samples(f, grid))
+    mean = np.empty((7, grid), dtype=complex)
     npts, level_max = grid, []
     while npts >= 4:
-        mean = (prefix[:, npts:npts + grid] - prefix[:, :grid]) / npts
-        total_m, d_m, _, qc_m = _sup_terms(mean[:4].reshape(2, 2 * grid))
-        level_max.append(np.max(mean[4].real - total_m + np.hypot(
-            mean[5].real - d_m, 2.0 * np.abs(mean[6] - qc_m))))
+        # the arc from k sums prefix[k + npts] - prefix[k]; one that crosses
+        # k = grid adds prefix[k + npts - grid] to the period's prefix[grid]
+        cut = grid - npts + 1
+        np.subtract(prefix[:, npts:], prefix[:, :cut], out=mean[:, :cut])
+        np.subtract(prefix[:, grid:], prefix[:, cut:grid], out=mean[:, cut:])
+        mean[:, cut:] += prefix[:, 1:npts]
+        mean /= npts
+        level_max.append(_oscillation_max(mean))
         npts //= 2
     return _scale_back(float(np.sqrt(np.max(level_max) / 2)), scale, "bmo_norm")
+
+
+def _oscillation_max(mean: np.ndarray) -> float:
+    """Twice the largest sup over J of an arc's mean square oscillation, from
+    the arc means of the rows of ``_bmo_prefix``: the sphere-sup formula on
+    the means of plus + minus, d and qc less those of the mean samples."""
+    total, d, _, qc = _sup_terms(mean[:4].reshape(2, -1))
+    np.subtract(mean[4].real, total, out=total)
+    np.subtract(mean[5].real, d, out=d)
+    np.subtract(mean[6], qc, out=qc)
+    e = np.abs(qc)
+    e *= 2.0
+    return float(np.max(np.hypot(d, e, out=e) + total))
+
+
+def _bmo_prefix(plus: np.ndarray) -> np.ndarray:
+    """Prefix sums over one period, from 0, of the rows A+, A-, B+, B-,
+    plus + minus, d and qc of the samples at e^{+-it_k}."""
+    res = np.concatenate([plus, _reversed(plus)], axis=-1)
+    total, d, _, qc = _sup_terms(res)
+    prefix = np.zeros((7, plus.shape[-1] + 1), dtype=complex)
+    np.cumsum(res.reshape(4, -1), axis=-1, out=prefix[:4, 1:])
+    for row, values in zip(prefix[4:], (total, d, qc)):
+        np.cumsum(values, out=row[1:])
+    return prefix
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from dataclasses import fields, replace
@@ -37,6 +38,7 @@ from slicehankel.nehari import (
 from slicehankel.quat import REFERENCE_UNIT, BoundaryPoint, Quaternion
 from slicehankel.series import (
     SliceLaurentSeries,
+    _half_samples,
     _plus_samples,
     _reversed,
     _sup_values,
@@ -457,10 +459,6 @@ def criterion5_symbol(rng):
     return SliceLaurentSeries(coeffs)
 
 
-def roots_of_unity(grid):
-    return np.exp((2j * np.pi / grid) * np.arange(grid))
-
-
 def _mul22(a, b):
     """Pointwise product of 2 x 2 blocks stored as (4, W) entry arrays."""
     a, b = a.reshape(2, 2, -1), b.reshape(2, 2, -1)
@@ -519,11 +517,11 @@ class TestWorkingSet:
         rng = np.random.default_rng(62)
         phi = criterion5_symbol(rng)
         degree = 6
-        plus, roots = _plus_samples(phi, grid), roots_of_unity(grid)
+        samples = _half_samples(_plus_samples(phi, grid))
         half, full = half_and_symmetric_sets(grid)
         index = _hessian_index(degree)
-        ws_half = _WorkingSet(plus, half, roots, degree, index)
-        ws_full = _WorkingSet(plus, full, roots, degree, index)
+        ws_half = _WorkingSet(samples, half, grid, degree, index)
+        ws_full = _WorkingSet(samples, full, grid, degree, index)
         assert ws_half.nu == ws_full.nu == 4 * len(full)
         x = 0.1 * rng.normal(size=4 * degree + 4)
         s = 1.5 * linf_norm(phi, grid)
@@ -538,10 +536,10 @@ class TestWorkingSet:
     def test_batched_step_matches_reference(self, grid, degree):
         rng = np.random.default_rng(64 + degree)
         phi = criterion5_symbol(rng)
-        plus, roots = _plus_samples(phi, grid), roots_of_unity(grid)
+        samples = _half_samples(_plus_samples(phi, grid))
         s = 1.5 * linf_norm(phi, grid)
         for idx in half_and_symmetric_sets(grid):
-            ws = _WorkingSet(plus, idx, roots, degree, _hessian_index(degree))
+            ws = _WorkingSet(samples, idx, grid, degree, _hessian_index(degree))
             point = ws.point(s, 0.1 * rng.normal(size=4 * degree + 4))
             tau = ws.nu / s
             step, lam2 = ws.newton_step(point, tau)
@@ -558,7 +556,7 @@ class TestWorkingSet:
         # rows above it, kept zero across calls) to the whole prime grid 251
         rng = np.random.default_rng(65)
         phi = criterion5_symbol(rng)
-        check = _HalfGrid(_plus_samples(phi, grid), roots_of_unity(grid), degree)
+        check = _HalfGrid(phi, grid, degree)
         _, length, width = check.table.shape
         assert length * width == grid and length > degree
         for _ in range(3):
@@ -571,6 +569,58 @@ class TestWorkingSet:
             assert np.max(np.abs(got - want[:grid // 2 + 1])) <= 1e-13 * np.max(want)
             # the sup is even in t: the values at -k are the same
             assert np.max(np.abs(got[1:] - want[:-(grid // 2 + 1):-1])) <= 1e-13 * np.max(want)
+
+
+PINNED = Path(__file__).resolve().parent / "data" / "criterion5_pinned.json"
+
+
+def pinned_values(seed=66, count=20):
+    """The numbers of the nehari benchmark's calls on ``count`` seeded
+    criterion-5 symbols, as floats: the optimizer's distance, lower bound and
+    iterates, the constructive distance and excluded fraction, and the sup."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        phi = criterion5_symbol(rng)
+        opt = optimize_distance(phi, 6, 8192, 20000)
+        cons = constructive_best_approx(phi, None, 8192, maximizing_vector(phi))
+        out.append({"distance": opt.distance, "lower_bound": opt.lower_bound,
+                    "iterates": opt.iterates, "constructive": cons.distance,
+                    "excluded_fraction": cons.excluded_fraction,
+                    "linf_norm": linf_norm(phi, 8192)})
+    return out
+
+
+class TestBitIdentity:
+    def test_values_pinned(self):
+        # the values as recorded before the grid work moved in place, which
+        # changed no operation and no order: equal to the bit (JSON floats
+        # round-trip exactly)
+        assert pinned_values() == json.loads(PINNED.read_text())
+
+
+class TestGridMemory:
+    # tracemalloc peak of one call on depth3.txt at grid 8192 after a warm-up
+    # call, as numpy caches FFT plans on first use: every grid-length array
+    # is held once.  Measured 1.45, 1.31 and 0.52 MB; the copies they replace
+    # took 2.34, 1.72 and 0.66 MB.
+    @pytest.mark.parametrize("name, bound", [("optimize_distance", 1_600_000),
+                                             ("constructive_best_approx", 1_440_000),
+                                             ("linf_norm", 575_000)])
+    def test_peak(self, name, bound):
+        phi = load_series(GOLDEN / "depth3.txt")
+        g = maximizing_vector(phi)
+        call = {"optimize_distance": lambda: optimize_distance(phi, 6, 8192, 20000),
+                "constructive_best_approx": lambda: constructive_best_approx(phi, None, 8192, g),
+                "linf_norm": lambda: linf_norm(phi, 8192)}[name]
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestBarrierSolver:
