@@ -134,11 +134,15 @@ def _hankel_product(f1: np.ndarray, f2: np.ndarray, n: int):
     (E x)_o = conj(Z1 conj x_o - Z2 conj x_e)."""
 
     def product(x: np.ndarray) -> np.ndarray:
-        xe, xo = x[0::2], x[1::2]
-        spec = np.fft.fft(
-            np.stack([xe, xo, np.conj(xo), np.conj(xe)])[:, ::-1], 2 * n)
-        corr = np.fft.ifft(np.stack([f1 * spec[0] + f2 * spec[1],
-                                     f1 * spec[2] - f2 * spec[3]]))
+        # rows xe, xo, conj xo, conj xe, each reversed and zero-padded to 2N
+        buf = np.zeros((4, 2 * n), dtype=complex)
+        buf[0, :n], buf[1, :n] = x[-2::-2], x[::-2]
+        np.conj(buf[1::-1, :n], out=buf[2:, :n])
+        spec = np.fft.fft(buf, out=buf)
+        corr = spec[:2]
+        corr[0] = f1 * spec[0] + f2 * spec[1]
+        corr[1] = f1 * spec[2] - f2 * spec[3]
+        np.fft.ifft(corr, out=corr)
         out = np.empty(2 * n, dtype=complex)
         out[0::2] = corr[0, n - 1:2 * n - 1]
         out[1::2] = np.conj(corr[1, n - 1:2 * n - 1])
@@ -237,15 +241,15 @@ def deembed_vector(u: np.ndarray) -> np.ndarray:
 
 
 # up to this many rows or columns a dense values-only SVD keeps up with
-# value-only Lanczos on a flat spectrum, Lanczos's slowest case (random
-# Hankel blocks; median ms of 8 seeds, one BLAS thread, 2 vCPUs):
-#     N         80    88    96   104   112   128
-#     dense    5.1   7.2   8.8   9.8  12.2  16.8
-#     Lanczos  5.7   7.1   7.6   8.8   8.5   7.7
-# The tie falls at 88-96 as the host's speed drifts; at 96, the upper end,
-# every size that ran dense before still does.  Decaying spectra cross
-# earlier (Hilbert at N = 128: 16.5 ms dense, 1.8 ms Lanczos), and a dense
-# pair SVD costs about twice the values-only one.
+# Lanczos on a flat spectrum, Lanczos's slowest case (random Hankel blocks;
+# median ms of 8 seeds, one BLAS thread, 2 vCPUs):
+#     N         64    80    88    96   104   112   128
+#     dense    3.0   5.0   6.2   7.4   9.2  11.2  16.1
+#     Lanczos  7.1   8.7   8.5   8.2   8.3   8.5   7.6
+# The tie falls at 96-104 as the host's speed drifts; at 96, the lower end,
+# every size keeps the path it had.  Decaying spectra cross earlier (Hilbert
+# at N = 128: 10.3 ms dense, 1.0 ms Lanczos), and a dense pair SVD costs
+# about twice the values-only one.
 DENSE_SVD_MAX_SIZE = 96
 
 
@@ -254,27 +258,23 @@ def operator_norm(m: QuaternionMatrix) -> float:
 
     Computed as the top singular value of the complex embedding; the embedding
     is a norm-preserving bijection on column vectors, so the two sups agree.
-    Up to DENSE_SVD_MAX_SIZE (96) rows or columns this is a dense SVD;
-    above, the Golub-Kahan-Lanczos Ritz value θ with the value-only stop,
-    within about 1e-12 relative of the dense value, except that a top pair of
-    singular values closer than about 1e-8 relative may stay unsplit, leaving
-    θ short by up to their distance.  θ ≤ σ_max in exact arithmetic, so a
-    Hankel norm stays a lower bound on every analytic distance; in floating
-    point θ can land an ulp or so above the dense value.  Lanczos applies the
-    embedding through ``m.embedded_operator()``: a dense product for a plain
-    matrix, length-2N FFTs in O(N) memory for a HankelMatrix.
+    Up to DENSE_SVD_MAX_SIZE rows or columns this is a dense values-only SVD;
+    above, it is ``top_singular_pair(m)[0]``, the Golub-Kahan-Lanczos Ritz
+    value θ, within about 1e-12 relative of the dense value.  θ ≤ σ_max in
+    exact arithmetic, so a Hankel norm stays a lower bound on every analytic
+    distance; in floating point θ can land an ulp or so above the dense value.
     """
     if m.rows == 0 or m.cols == 0:
         return 0.0
     if min(m.rows, m.cols) <= DENSE_SVD_MAX_SIZE:
         return float(np.linalg.svd(complex_embed(m), compute_uv=False)[0])
-    return _lanczos_top_singular_value(*m.embedded_operator(), value_only=True)[0]
+    return top_singular_pair(m)[0]
 
 
 def top_singular_pair(m: QuaternionMatrix) -> tuple[float, np.ndarray]:
     """Top singular value and a unit top right singular vector of the complex
     embedding: a full dense SVD up to DENSE_SVD_MAX_SIZE rows or columns, the
-    Lanczos Ritz pair above."""
+    Lanczos Ritz pair above, from the products of ``m.embedded_operator()``."""
     if min(m.rows, m.cols) <= DENSE_SVD_MAX_SIZE:
         _, sv, vh = np.linalg.svd(complex_embed(m))
         return float(sv[0]), np.conj(vh[0])
@@ -288,47 +288,42 @@ def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return w
 
 
-def _lanczos_top_singular_value(matvec, rmatvec, shape,
-                                value_only: bool = False) -> tuple[float, np.ndarray]:
+def _lanczos_top_singular_value(matvec, rmatvec, shape) -> tuple[float, np.ndarray]:
     """Top singular value and right Ritz vector by Golub-Kahan-Lanczos.
 
     The operator of the given (rows, cols) shape is known only through
     matvec (a v) and rmatvec (a^H u).  Bidiagonalizes a V_k = U_k B_k from a
     fixed-seed start vector with full reorthogonalization, and stops on
     breakdown, when the Krylov space is exhausted, or when the Ritz residual
-    ρ = β_k |x_k| (x the top left singular vector of B_k) is at most 1e-12·θ,
-    which the vector needs.  The error of θ itself is about ρ² / (θ - θ₂),
-    θ₂ the second Ritz value (0 at k = 1), so with value_only it also stops
-    once ρ² ≤ 1e-16·θ·(θ - θ₂).  As θ - θ₂ ≤ θ, that implies ρ ≤ 1e-8·θ, so
-    an unresolved θ₂, which overstates the gap, cannot end the run earlier.
+    ρ = β_k |x_k| (x the top left singular vector of B_k) is at most 1e-12·θ.
     Returns θ and V_k y, y the top right singular vector of B_k.
     """
     m, n = shape
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    us, vs = np.empty((0, m), dtype=complex), v[None, :]
-    alphas: list[float] = []
-    betas: list[float] = []
+    us, vs = np.empty((16, m), dtype=complex), np.empty((16, n), dtype=complex)
+    b = np.zeros((16, 16))
+    vs[0] = v
+    k = 0
     p = matvec(v)
     while True:
-        p = _reorthogonalize(p, us)
-        alphas.append(float(np.linalg.norm(p)))
-        if alphas[-1] > 0.0:
-            u = p / alphas[-1]
-            us = np.vstack([us, u])
-            r = _reorthogonalize(rmatvec(u) - alphas[-1] * v, vs)
+        p = _reorthogonalize(p, us[:k])
+        alpha = b[k, k] = float(np.linalg.norm(p))
+        k += 1
+        if alpha > 0.0:
+            u = us[k - 1] = p / alpha
+            r = _reorthogonalize(rmatvec(u) - alpha * v, vs[:k])
             beta = float(np.linalg.norm(r))
-        x, s, yh = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
-        if alphas[-1] == 0.0 or beta == 0.0 or len(alphas) == min(m, n):
-            return float(s[0]), np.conj(yh[0]) @ vs
-        rho = beta * abs(x[-1, 0])
-        gap = s[0] - s[1] if len(s) > 1 else s[0]
-        if rho <= 1e-12 * s[0] or (value_only and rho * rho <= 1e-16 * s[0] * gap):
-            return float(s[0]), np.conj(yh[0]) @ vs
-        betas.append(beta)
-        v = r / beta
-        vs = np.vstack([vs, v])
+        x, s, yh = np.linalg.svd(b[:k, :k])
+        if (alpha == 0.0 or beta == 0.0 or k == min(m, n)
+                or beta * abs(x[-1, 0]) <= 1e-12 * s[0]):
+            return float(s[0]), np.conj(yh[0]) @ vs[:k]
+        if k == len(b):
+            us, vs = (np.concatenate([w, np.empty_like(w)]) for w in (us, vs))
+            b = np.pad(b, (0, k))
+        b[k - 1, k] = beta
+        v = vs[k] = r / beta
         p = matvec(v) - beta * u
 
 

@@ -137,7 +137,9 @@ def constructive_best_approx(
     Returns the sampled sup of |phi - f| as the distance, together with the
     negative-frequency mass of the boundary samples of f (small iff f is
     indeed analytic) and the fraction of grid points excluded because the
-    symmetrization of g (nearly) vanishes there.  The correction is computed
+    symmetrization of g (nearly) vanishes there.  The status is "warning"
+    when that fraction exceeds 1% or the mass 1e-12·distance, which is then
+    alias content of too coarse a grid.  The correction is computed
     at e^{it_k} only; at e^{-it_k} it is the same at index -k.  ``best_approx``
     drops f's smallest coefficients n >= 0 while their moduli sum to at most
     _DROP_L1 distance: |sum q^n r_n| <= sum |r_n| bounds the sup they add.
@@ -159,7 +161,6 @@ def constructive_best_approx(
     good = ~excluded[:len(vals)]
     distance = float(np.max(vals[good])) if np.any(good) else 0.0
     excluded_fraction = float(np.mean(excluded))
-    status = "warning" if excluded_fraction > 0.01 else "ok"
 
     # f = phi - h * g^{-*} at e^{it}, written over the quotient, to
     # coefficients (n >= 0 in the first half)
@@ -168,6 +169,7 @@ def constructive_best_approx(
     f /= grid
     half = (grid + 1) // 2
     mass = float(np.linalg.norm(f[:, half:]))
+    status = "warning" if excluded_fraction > 0.01 or mass > 1e-12 * distance else "ok"
     comps = arrays.from_pairs(*f[:, :half])
     mods = arrays.norm(comps)
     kept = np.sort(np.argsort(mods)[np.cumsum(np.sort(mods)) > _DROP_L1 * distance])

@@ -72,9 +72,10 @@ class SliceLaurentSeries:
     def from_rows(cls, exps, rows) -> "SliceLaurentSeries":
         """Copies of rows[i] at sorted distinct exps[i], all-zero rows dropped;
         an exponent with |n| >= 2^62 is refused, as by the mapping constructor."""
-        exps = np.asarray(exps, dtype=np.int64)
+        exps = np.asarray(exps)  # Python ints past int64 reach the guard as objects
         for n in (exps.min(), exps.max()) if len(exps) else ():
             _exponent_guard(int(n))
+        exps = exps.astype(np.int64, copy=False)
         rows = np.asarray(rows, dtype=float).reshape(-1, 4)
         if not np.isfinite(rows).all():
             raise ValueError("quaternion components must be finite")

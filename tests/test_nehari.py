@@ -283,6 +283,17 @@ class TestConstructive:
         assert res.status == "ok"
         assert linf_norm(res.best_approx, 512) <= 1e-6
 
+    @pytest.mark.parametrize("grid, status", [(1040, "warning"), (4096, "warning"),
+                                              (16384, "ok")])
+    def test_alias_content_warns(self, grid, status):
+        # phi_hat(-n) = 1/n, n = 1..256: f's negative mass over the distance
+        # measured 9.6e-5, 9.6e-12 and 8.2e-16 at these grids; above 1e-12
+        # it is alias content of too coarse a grid, with no point excluded
+        phi = SliceLaurentSeries({-n: Quaternion(1.0 / n) for n in range(1, 257)})
+        res = constructive_best_approx(phi, None, grid)
+        assert res.excluded_fraction == 0.0
+        assert res.status == status
+
     def test_analytic_part_recovered(self):
         phi = SliceLaurentSeries({-1: ONE, 1: Quaternion(3)})
         res = constructive_best_approx(phi, 16, 512)

@@ -398,16 +398,18 @@ class TestSupNorms:
 
     def test_linf_memory_independent_of_support(self):
         # the FFT sampler holds a few grid-length arrays; a dense grid x
-        # support phase matrix alone would take 65 MB here
+        # support phase matrix alone would take 65 MB here.  Measured 545,186
+        # bytes after a warm-up call, as numpy caches FFT plans on first use
         rng = np.random.default_rng(30)
         f = SliceLaurentSeries({n: Quaternion(*rng.normal(size=4)) for n in range(500)})
+        linf_norm(f, 2**13)
         tracemalloc.start()
         try:
             value = linf_norm(f, 2**13)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16_000_000
+        assert peak < 595_000
         assert value > 0.0
 
     def test_grid_guard(self):
@@ -687,7 +689,8 @@ class TestArrayStore:
         edge = 2**62
         row = [[1.0, 0.0, 0.0, 0.0]]
         assert SliceLaurentSeries.from_rows([edge - 1], row).support == (edge - 1,)
-        for n in (edge + 5, -edge, np.iinfo(np.int64).min):
+        # Python ints past int64 too, which numpy cannot convert
+        for n in (edge + 5, -edge, np.iinfo(np.int64).min, 10**29, -10**29):
             for rows in (row, [[0.0] * 4]):
                 with pytest.raises(ValueError, match=f"exponent {n} outside"):
                     SliceLaurentSeries.from_rows([n], rows)
