@@ -4,13 +4,13 @@ bounded-regular approximation, and an independent minimax optimizer.
 The constructive route realizes f = phi - (H_phi g) * g^{-*} on grid samples,
 g a maximizing vector from the SVD of the complex embedding: h = H_phi g =
 P_-(phi * g) by one FFT round trip and, as g^{-*} = g^c * (g^s)^{-*} with g^s
-real, the correction (h * g^c) / g^s.  The optimizer minimizes the sampled
-sup norm of phi - f over polynomial f as a linear matrix inequality, by a
-log-det barrier method on a working set of grid points grown by Remez-style
-exchange, and certifies its value by the barrier's lower bound.  For finite
-symbols the two routes and the Hankel norm must agree.
-``approximation_report`` is the one pipeline that runs all three, and its
-report checks the paper's sandwich on its numbers.
+real, the correction (h * g^c) / g^s, so f = N / g^s, N = P_+(phi * g) * g^c.
+The optimizer minimizes the sampled sup norm of phi - f over polynomial f as
+a linear matrix inequality, by a log-det barrier method on a working set of
+grid points grown by Remez-style exchange, and certifies its value by the
+barrier's lower bound.  For finite symbols the two routes and the Hankel norm
+must agree.  ``approximation_report`` is the one pipeline that runs all
+three, and its report checks the paper's sandwich on its numbers.
 
 Every Hankel matrix comes from ``hankel.hankel_from_symbol``, and all
 sampling on the boundary (the FFT grid sampler and the closed-form sphere
@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 _ZERO_NORM_TOL = 1e-13
-_DROP_L1 = 1e-9  # best_approx's dropped l1 mass, relative to the distance
+_ONE = SliceLaurentSeries.constant(Quaternion(1.0))
 
 
 def _block_size(phi: SliceLaurentSeries) -> int:
@@ -118,9 +118,12 @@ def maximizing_vector(phi: SliceLaurentSeries,
 
 @dataclass
 class ConstructiveResult:
-    best_approx: SliceLaurentSeries
+    """f = numerator / denominator; zeros_in_disc counts f's poles in the disc."""
+
+    numerator: SliceLaurentSeries
+    denominator: SliceLaurentSeries
     distance: float
-    residual_negative_mass: float
+    zeros_in_disc: int
     excluded_fraction: float
     status: str
 
@@ -132,54 +135,56 @@ def constructive_best_approx(
     g: SliceLaurentSeries | None = None,
 ) -> ConstructiveResult:
     """Best bounded-regular approximation f = phi - (H_phi g) * g^{-*}: phi's
-    samples at e^{it_k} less the correction of ``_quotient_samples``.
+    samples at e^{it_k} less the correction of ``_quotient_samples``, which
+    at e^{-it_k} is the same at index -k.
 
-    Returns the sampled sup of |phi - f| as the distance, together with the
-    negative-frequency mass of the boundary samples of f (small iff f is
-    indeed analytic) and the fraction of grid points excluded because the
-    symmetrization of g (nearly) vanishes there.  The status is "warning"
-    when that fraction exceeds 1% or the mass 1e-12·distance, which is then
-    alias content of too coarse a grid.  The correction is computed
-    at e^{it_k} only; at e^{-it_k} it is the same at index -k.  ``best_approx``
-    drops f's smallest coefficients n >= 0 while their moduli sum to at most
-    _DROP_L1 distance: |sum q^n r_n| <= sum |r_n| bounds the sup they add.
+    Returns the sampled sup of |phi - f| as the distance, and f exactly as
+    N / g^s: N = f g^s = P_+(phi * g) * g^c is a polynomial of degree
+    max(n_max(phi), 0) + 2 deg g, whose FFT bins the grid rule leaves
+    unaliased.  The status is "ok" only when g^s has no zero in the disc
+    (``zeros_in_disc``, by the argument principle on its samples), none at a
+    grid point (a pole of f on the circle, excluded from the sup) and every
+    phase step between neighbouring samples is below pi / 2, so that the
+    count is resolved.
 
     g is the maximizing vector to use.  Without it the route computes the
-    Hankel norm, returns phi's analytic part for a zero operator, and
+    Hankel norm, returns phi's analytic part over 1 for a zero operator, and
     otherwise takes ``maximizing_vector(phi)``.  N is unused, and kept only
     because existing callers pass it.
     """
     if g is None:
         if hankel_norm(phi) <= _ZERO_NORM_TOL:
             dist = linf_norm(project_minus(phi), grid)
-            return ConstructiveResult(project_plus(phi), dist, 0.0, 0.0, "ok")
+            return ConstructiveResult(project_plus(phi), _ONE, dist, 0, 0.0, "ok")
         g = maximizing_vector(phi)
     plus = _plus_samples(phi, grid)
-    quot, excl = _quotient_samples(plus, g, grid)
+    quot, gs, excl = _quotient_samples(plus, g, grid)
     excluded = excl | _reversed(excl)
     vals = _sup_values(_half_samples(quot))
     good = ~excluded[:len(vals)]
     distance = float(np.max(vals[good])) if np.any(good) else 0.0
     excluded_fraction = float(np.mean(excluded))
+    steps = np.angle(np.roll(gs, -1) * np.conj(gs))
+    zeros = round(float(np.sum(steps)) / (2.0 * np.pi))
+    ok = zeros == 0 and not np.any(excl) and float(np.max(np.abs(steps))) < np.pi / 2
 
-    # f = phi - h * g^{-*} at e^{it}, written over the quotient, to
-    # coefficients (n >= 0 in the first half)
-    f = np.subtract(plus, quot, out=quot)
-    np.fft.fft(f, out=f)
-    f /= grid
-    half = (grid + 1) // 2
-    mass = float(np.linalg.norm(f[:, half:]))
-    status = "warning" if excluded_fraction > 0.01 or mass > 1e-12 * distance else "ok"
-    comps = arrays.from_pairs(*f[:, :half])
-    mods = arrays.norm(comps)
-    kept = np.sort(np.argsort(mods)[np.cumsum(np.sort(mods)) > _DROP_L1 * distance])
-    best = SliceLaurentSeries.from_rows(kept, comps[kept])
-    return ConstructiveResult(best, distance, mass, excluded_fraction, status)
+    # N = f g^s = phi g^s - h * g^c over the quotient, and g^s, to coefficients
+    np.multiply(quot, gs, out=quot, where=~excl)
+    num = np.subtract(np.multiply(plus, gs, out=plus), quot, out=quot)
+    np.fft.fft(num, norm="forward", out=num)
+    np.fft.fft(gs, norm="forward", out=gs)
+    deg_s = 2 * int(g.exps.max(initial=0))
+    deg_n = int(phi.exps.max(initial=0)) + deg_s
+    return ConstructiveResult(
+        SliceLaurentSeries.from_rows(range(deg_n + 1), arrays.from_pairs(*num[:, :deg_n + 1])),
+        SliceLaurentSeries.from_rows(range(deg_s + 1),
+                                     np.pad(gs[:deg_s + 1, None].real, ((0, 0), (0, 3)))),
+        distance, zeros, excluded_fraction, "ok" if ok else "warning")
 
 
 def _quotient_samples(plus: np.ndarray, g: SliceLaurentSeries, grid: int):
-    """(h * g^{-*})(e^{it_k}), h = H_phi g, as complex pairs (2, grid) from
-    phi's + samples, 0 where |g^s|^2 <= 1e-20, and the mask of those points.
+    """(h * g^{-*})(e^{it_k}), h = H_phi g, as complex pairs (2, grid) from phi's
+    + samples, g^s's samples and the mask |g^s|^2 <= 1e-20 (h * g^c undivided).
 
     With g's + samples (A+, B+) and (mA, mB) = (conj A-, conj B-), the pair
     star product gives phi * g = (A_phi A+ - B_phi mB, A_phi B+ + B_phi mA),
@@ -208,7 +213,6 @@ def _quotient_samples(plus: np.ndarray, g: SliceLaurentSeries, grid: int):
     norm_sq = np.square(gs.real)
     norm_sq += np.square(gs.imag)
     excl = norm_sq <= 1e-20
-    gs[excl] = 1.0
     np.multiply(hb, ga, out=ga)
     np.multiply(ha, gb, out=gb)
     np.subtract(ga, gb, out=ga)
@@ -216,9 +220,8 @@ def _quotient_samples(plus: np.ndarray, g: SliceLaurentSeries, grid: int):
     np.multiply(ha, ma, out=ha)
     np.add(ha, mb, out=ha)
     hb[:] = ga
-    h /= gs
-    h[:, excl] = 0.0
-    return h, excl
+    np.divide(h, gs, out=h, where=~excl)
+    return h, gs, excl
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +555,7 @@ class ApproximationReport:
     hankel_norm: float
     constructive_distance: float
     optimized_distance: float
-    residual_negative_mass: float
+    constructive_zeros_in_disc: int
     hankel_block: int
     grid: int
     optimizer_status: str
@@ -560,7 +563,8 @@ class ApproximationReport:
     optimizer_lower_bound: float
     constructive_status: str
     excluded_fraction: float
-    best_approx: SliceLaurentSeries
+    best_approx_numerator: SliceLaurentSeries
+    best_approx_denominator: SliceLaurentSeries
 
     @property
     def distance(self) -> float:
@@ -601,17 +605,19 @@ def approximation_report(
     degree: int,
     budget: int,
 ) -> ApproximationReport:
-    """The distance pipeline: hankel_norm, then constructive_best_approx
-    (with the maximizing vector of a nonzero operator), then
-    optimize_distance, with the better competitor as ``best_approx``, all on
-    phi scaled by ``_normalized`` and scaled back by ``_scale_back``.  ``hankel_block`` is the
+    """The distance pipeline: hankel_norm, constructive_best_approx (with the
+    maximizing vector of a nonzero operator) and optimize_distance on phi
+    scaled by ``_normalized``, the better competitor as ``best_approx_numerator``
+    over ``best_approx_denominator`` (1 for the optimizer's), each number but
+    the denominator scaled back by ``_scale_back``.  ``hankel_block`` is the
     size k of the Hankel block that was read."""
     phi, scale = _normalized(phi)
     hn = hankel_norm(phi)
     g = maximizing_vector(phi) if hn > _ZERO_NORM_TOL else None
     cons = constructive_best_approx(phi, None, grid, g)
     opt = optimize_distance(phi, degree, grid, budget)
-    best = cons.best_approx if cons.distance <= opt.distance else opt.best_approx
+    num, den = ((cons.numerator, cons.denominator) if cons.distance <= opt.distance
+                else (opt.best_approx, _ONE))
 
     def back(value: float, name: str) -> float:
         return _scale_back(value, scale, name)
@@ -620,7 +626,7 @@ def approximation_report(
         hankel_norm=back(hn, "hankel_norm"),
         constructive_distance=back(cons.distance, "constructive_distance"),
         optimized_distance=back(opt.distance, "optimized_distance"),
-        residual_negative_mass=back(cons.residual_negative_mass, "residual_negative_mass"),
+        constructive_zeros_in_disc=cons.zeros_in_disc,
         hankel_block=_block_size(phi),
         grid=grid,
         optimizer_status=opt.status,
@@ -628,7 +634,9 @@ def approximation_report(
         optimizer_lower_bound=back(opt.lower_bound, "optimizer_lower_bound"),
         constructive_status=cons.status,
         excluded_fraction=cons.excluded_fraction,
-        best_approx=SliceLaurentSeries.from_rows(best.exps, back(best.rows, "best_approx")),
+        best_approx_numerator=SliceLaurentSeries.from_rows(
+            num.exps, back(num.rows, "best_approx_numerator")),
+        best_approx_denominator=den,
     )
 
 

@@ -254,8 +254,8 @@ def test_criterion_5_nehari(capsys):
     n, grid, budget, degree = 64, 8192, 20000, 6
     tol_rel = 2e-2
 
-    lower_ok = equality_ok = sandwich_ok = mass_ok = gauge_ok = True
-    worst_eq = worst_mass = worst_gauge = 0.0
+    lower_ok = equality_ok = sandwich_ok = poles_ok = gauge_ok = True
+    worst_eq = worst_gauge = 0.0
     for _ in range(50):
         coeffs = {
             -(m + 1): Quaternion(*rng.normal(size=4))
@@ -280,9 +280,8 @@ def test_criterion_5_nehari(capsys):
             d * (1 - tol_rel) <= gamma <= 2 * d * (1 + tol_rel)
         )
 
-        mass_rel = cons.residual_negative_mass / linf_norm(phi, grid)
-        worst_mass = max(worst_mass, mass_rel)
-        mass_ok = mass_ok and mass_rel <= 1e-3
+        # g^s has no zero in the closed disc: the competitor has no pole
+        poles_ok = poles_ok and cons.zeros_in_disc == 0 and cons.status == "ok"
 
         for _ in range(8):
             v = rng.normal(size=4)
@@ -292,11 +291,11 @@ def test_criterion_5_nehari(capsys):
             worst_gauge = max(worst_gauge, gauge_err)
             gauge_ok = gauge_ok and gauge_err <= 1e-10
 
-    ok = lower_ok and equality_ok and sandwich_ok and mass_ok and gauge_ok
+    ok = lower_ok and equality_ok and sandwich_ok and poles_ok and gauge_ok
     report(
         capsys, 5, ok,
         f"iterate lower bound {lower_ok}, |cons-norm| rel {worst_eq:.2e}, "
-        f"sandwich {sandwich_ok}, negative mass {worst_mass:.2e}, "
+        f"sandwich {sandwich_ok}, no poles {poles_ok}, "
         f"gauge {worst_gauge:.2e}; target < 300s",
         time.time() - t0,
     )

@@ -11,7 +11,14 @@ import pytest
 from slicehankel import cli, nehari
 from slicehankel.cli import ExperimentConfig, main
 from slicehankel.quat import Quaternion
-from slicehankel.series import SliceLaurentSeries, linf_norm, loads_series, save_series
+from slicehankel.series import (
+    SliceLaurentSeries,
+    _half_samples,
+    _plus_samples,
+    _sup_values,
+    loads_series,
+    save_series,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GRID = ["--grid", "256"]
@@ -20,9 +27,10 @@ FAST = [*GRID, "--degree", "2", "--budget", "300"]
 SYMBOL_FAST = {"norm": GRID, "distance": FAST}
 
 
-# the report lines that scale with the symbol; best_approx records scale too
+# the report lines that scale with the symbol; the records of
+# best_approx_numerator scale too, those of best_approx_denominator do not
 _SCALED_FIELDS = {"hankel_norm", "linf_norm", "constructive_distance", "optimized_distance",
-                  "residual_negative_mass", "optimizer_lower_bound"}
+                  "optimizer_lower_bound"}
 
 
 def run(capsys, argv):
@@ -179,7 +187,8 @@ class TestConfig:
     def test_output_scales_exactly_by_powers_of_two(self, tmp_path, capsys,
                                                     command, symbol, k):
         # far past the squares' overflow and underflow, every number and
-        # every best_approx component is 2^k times its k = 0 value
+        # every numerator component is 2^k times its k = 0 value, and the
+        # denominator's lines are unchanged
         phi = (loads_series((GOLDEN / "depth3.txt").read_text()) if symbol == "depth3"
                else SliceLaurentSeries({-1: Quaternion(1.0), -2: Quaternion(0, 0, 1.0, 0)}))
         outputs = []
@@ -194,11 +203,14 @@ class TestConfig:
         assert (code, err) == (code0, err0)
         lines0, lines = out0.splitlines(), out.splitlines()
         assert len(lines) == len(lines0)
+        denominator = False
         for line0, line in zip(lines0, lines):
             name, _, value = line0.partition(": ")
+            if not line0.startswith(" "):
+                denominator = line0 == "best_approx_denominator:"
             if name in _SCALED_FIELDS:
                 assert line == f"{name}: {float(value) * 2.0 ** k!r}"
-            elif line0.startswith("  ") and not line0.startswith("  #"):
+            elif line0.startswith("  ") and not line0.startswith("  #") and not denominator:
                 n, *comps = line0.split()
                 assert line.split() == [n, *(repr(float(c) * 2.0 ** k) for c in comps)]
             else:
@@ -317,7 +329,8 @@ class TestDistanceAndNorm:
                 values[key.strip()] = val.strip()
         assert float(values["hankel_norm"]) == pytest.approx(1.0, abs=1e-12)
         assert float(values["constructive_distance"]) == pytest.approx(1.0, abs=1e-6)
-        assert float(values["residual_negative_mass"]) <= 1e-9
+        assert values["constructive_zeros_in_disc"] == "0"
+        assert values["constructive_status"] == "ok"
 
     def test_report_shows_solver_state(self, tmp_path, capsys):
         path = tmp_path / "symbol.txt"
@@ -374,12 +387,15 @@ class TestDistanceAndNorm:
         oracle = abs(c) / (1.0 - abs(lam) ** 2)
         code, out, _ = run(capsys, ["distance", "--symbol", str(path), "--grid", "8192"])
         assert code == 0
-        head, _, block = out.partition("best_approx:\n")
+        head, _, blocks = out.partition("best_approx_numerator:\n")
+        num, _, den = blocks.partition("best_approx_denominator:\n")
         values = dict(line.split(": ", 1) for line in head.splitlines())
         assert abs(float(values["hankel_norm"]) - oracle) <= 1e-14 * oracle
         assert abs(float(values["constructive_distance"]) - oracle) <= 1e-12 * oracle
-        best = loads_series(block)
-        assert abs(linf_norm(phi - best, 2**18) - oracle) <= 2e-9 * oracle
+        # phi - N / g^s sampled as pairs over the samples of the real g^s
+        res = _plus_samples(phi, 2**18)
+        res -= _plus_samples(loads_series(num), 2**18) / _plus_samples(loads_series(den), 2**18)[0]
+        assert abs(float(np.max(_sup_values(_half_samples(res)))) - oracle) <= 1e-11 * oracle
 
     def test_report_states_hankel_block(self, tmp_path, capsys):
         # the block read is the symbol's depth, 1 for an analytic symbol
