@@ -9,8 +9,9 @@ The optimizer minimizes the sampled sup norm of phi - f over polynomial f as
 a linear matrix inequality, by a log-det barrier method on a working set of
 grid points grown by Remez-style exchange, and certifies its value by the
 barrier's lower bound.  For finite symbols the two routes and the Hankel norm
-must agree.  ``approximation_report`` is the one pipeline that runs all
-three, and its report checks the paper's sandwich on its numbers.
+must agree.  Each runs on phi ``_normalized`` and scales back its numbers;
+``approximation_report`` only composes the three, and its report checks the
+paper's sandwich on its numbers.
 
 Every Hankel matrix comes from ``hankel.hankel_from_symbol``, and all
 sampling on the boundary (the FFT grid sampler and the closed-form sphere
@@ -94,16 +95,24 @@ def hankel_norm(phi: SliceLaurentSeries, N: int | None = None) -> float:
 def maximizing_vector(phi: SliceLaurentSeries,
                       N: int | None = None) -> SliceLaurentSeries:
     """Unit g in the Hardy space with ||H_phi g|| = ||H_phi|| (up to SVD
-    tolerance), from the top right singular vector of the embedded k x k
-    block of nonzero entries (dense SVD up to 96, the Lanczos Ritz vector
-    above).  N is unused, and kept only because existing callers pass it.
+    tolerance), the vector of ``_schmidt_pair``; a zero operator has none,
+    and raises.  N is unused, and kept only because existing callers pass it."""
+    g = _schmidt_pair(_normalized(phi)[0])
+    if g is None:
+        raise ValueError("zero operator has no maximizing vector")
+    return g
+
+
+def _schmidt_pair(phi: SliceLaurentSeries) -> SliceLaurentSeries | None:
+    """The vector g of the top Schmidt pair (sigma, g) of H_phi, phi
+    ``_normalized``, from the embedded k x k block of nonzero entries (dense
+    SVD up to 96, Lanczos above); None for sigma <= _ZERO_NORM_TOL.
 
     g is defined up to a right unit-quaternion factor; the gauge fixed here
     makes its lowest nonzero coefficient real and positive."""
-    phi, _ = _normalized(phi)
     sigma, v = top_singular_pair(_hankel_block(phi))
     if sigma <= _ZERO_NORM_TOL:
-        raise ValueError("zero operator has no maximizing vector")
+        return None
     comps = deembed_vector(v)
     mags = np.sqrt(np.sum(np.square(comps), axis=1))
     keep = np.flatnonzero(mags > 1e-13 * float(np.max(mags)))
@@ -147,16 +156,17 @@ def constructive_best_approx(
     phase step between neighbouring samples is below pi / 2, so that the
     count is resolved.
 
-    g is the maximizing vector to use.  Without it the route computes the
-    Hankel norm, returns phi's analytic part over 1 for a zero operator, and
-    otherwise takes ``maximizing_vector(phi)``.  N is unused, and kept only
-    because existing callers pass it.
+    g is the maximizing vector to use; without it the route takes that of
+    ``_schmidt_pair``, or returns phi's analytic part over 1 for a zero
+    operator.  It runs on phi ``_normalized`` and scales back the distance
+    and numerator.  N is unused, and kept only because callers pass it.
     """
+    unscaled, (phi, scale) = phi, _normalized(phi)
     if g is None:
-        if hankel_norm(phi) <= _ZERO_NORM_TOL:
-            dist = linf_norm(project_minus(phi), grid)
-            return ConstructiveResult(project_plus(phi), _ONE, dist, 0, 0.0, "ok")
-        g = maximizing_vector(phi)
+        g = _schmidt_pair(phi)
+    if g is None:
+        dist = linf_norm(project_minus(unscaled), grid)
+        return ConstructiveResult(project_plus(unscaled), _ONE, dist, 0, 0.0, "ok")
     plus = _plus_samples(phi, grid)
     quot, gs, excl = _quotient_samples(plus, g, grid)
     excluded = excl | _reversed(excl)
@@ -175,11 +185,13 @@ def constructive_best_approx(
     np.fft.fft(gs, norm="forward", out=gs)
     deg_s = 2 * int(g.exps.max(initial=0))
     deg_n = int(phi.exps.max(initial=0)) + deg_s
+    num = _scale_back(arrays.from_pairs(*num[:, :deg_n + 1]), scale, "best_approx_numerator")
     return ConstructiveResult(
-        SliceLaurentSeries.from_rows(range(deg_n + 1), arrays.from_pairs(*num[:, :deg_n + 1])),
+        SliceLaurentSeries.from_rows(range(deg_n + 1), num),
         SliceLaurentSeries.from_rows(range(deg_s + 1),
                                      np.pad(gs[:deg_s + 1, None].real, ((0, 0), (0, 3)))),
-        distance, zeros, excluded_fraction, "ok" if ok else "warning")
+        _scale_back(distance, scale, "constructive_distance"), zeros, excluded_fraction,
+        "ok" if ok else "warning")
 
 
 def _quotient_samples(plus: np.ndarray, g: SliceLaurentSeries, grid: int):
@@ -473,13 +485,13 @@ def optimize_distance(
     itself and its mirror -k (1 at k = 0 and grid / 2).  The bound
     s - (nu + (lam + sqrt nu) lam / (1 - lam)) / tau (nu = 4 sum of the
     weights, lam the Newton decrement; Nesterov 2004, Thm 4.2.7) is
-    ``lower_bound``.  phi's samples are held once, in the full-grid check's
-    half layout, which every working set gathers from; one pair of Hessian
-    index tables serves every working set of the solve.
+    ``lower_bound``.  phi ``_normalized`` is sampled once, in the full-grid
+    check's half layout, which every working set gathers from, as one pair
+    of Hessian index tables serves them all; its results are scaled back.
 
     The iterates, the best full-grid value after each outer step, are exact
     sups for admissible competitors.  ``converged``: the last is within 1e-6
-    max(1, sup |phi|) of the bound; ``evaluations`` counts sup-formula
+    sup |phi| of the bound; ``evaluations`` counts sup-formula
     evaluations (line-search trials and full-grid checks).  Stopped short by
     ``budget`` or by the working-set bound ``_WS_ENTRIES``, the best so far
     is ``budget_exhausted``.  Deterministic: ``seed`` is unused, and kept
@@ -490,10 +502,11 @@ def optimize_distance(
     if budget <= 0:
         raise ValueError("budget must be positive")
     _grid_guard(degree, grid)
+    phi, scale = _normalized(phi)
     d1, half = degree + 1, grid // 2 + 1
     index = _hessian_index(degree)
     check = _HalfGrid(phi, grid, degree)
-    tol = 1e-6 * max(1.0, float(np.max(_sup_values(check.phi))))
+    tol = 1e-6 * float(np.max(_sup_values(check.phi)))
     x = np.zeros(4 * d1)
     start = (phi.exps >= 0) & (phi.exps <= degree)
     x.reshape(d1, 4)[phi.exps[start]] = phi.rows[start]
@@ -534,12 +547,13 @@ def optimize_distance(
             tau *= 20.0
 
     return OptimizeResult(
-        best_approx=SliceLaurentSeries.from_rows(np.arange(d1), best_x.reshape(d1, 4)),
-        distance=best,
-        iterates=iterates,
+        distance=_scale_back(best, scale, "optimized_distance"),
+        lower_bound=_scale_back(lower, scale, "optimizer_lower_bound"),
+        iterates=[v * scale for v in iterates],  # a trace: inf past the double range
+        best_approx=SliceLaurentSeries.from_rows(
+            np.arange(d1), _scale_back(best_x.reshape(d1, 4), scale, "best_approx_numerator")),
         evaluations=evaluations,
         status="converged" if best - lower <= tol else "budget_exhausted",
-        lower_bound=lower,
     )
 
 
@@ -605,37 +619,29 @@ def approximation_report(
     degree: int,
     budget: int,
 ) -> ApproximationReport:
-    """The distance pipeline: hankel_norm, constructive_best_approx (with the
-    maximizing vector of a nonzero operator) and optimize_distance on phi
-    scaled by ``_normalized``, the better competitor as ``best_approx_numerator``
-    over ``best_approx_denominator`` (1 for the optimizer's), each number but
-    the denominator scaled back by ``_scale_back``.  ``hankel_block`` is the
-    size k of the Hankel block that was read."""
-    phi, scale = _normalized(phi)
+    """The distance pipeline: hankel_norm, constructive_best_approx and
+    optimize_distance on phi, each under its own scale rule, and the better
+    competitor as ``best_approx_numerator`` over ``best_approx_denominator``
+    (1 for the optimizer's).  ``hankel_block`` is the size k of the Hankel
+    block that was read."""
     hn = hankel_norm(phi)
-    g = maximizing_vector(phi) if hn > _ZERO_NORM_TOL else None
-    cons = constructive_best_approx(phi, None, grid, g)
+    cons = constructive_best_approx(phi, None, grid)
     opt = optimize_distance(phi, degree, grid, budget)
     num, den = ((cons.numerator, cons.denominator) if cons.distance <= opt.distance
                 else (opt.best_approx, _ONE))
-
-    def back(value: float, name: str) -> float:
-        return _scale_back(value, scale, name)
-
     return ApproximationReport(
-        hankel_norm=back(hn, "hankel_norm"),
-        constructive_distance=back(cons.distance, "constructive_distance"),
-        optimized_distance=back(opt.distance, "optimized_distance"),
+        hankel_norm=hn,
+        constructive_distance=cons.distance,
+        optimized_distance=opt.distance,
         constructive_zeros_in_disc=cons.zeros_in_disc,
         hankel_block=_block_size(phi),
         grid=grid,
         optimizer_status=opt.status,
         optimizer_evaluations=opt.evaluations,
-        optimizer_lower_bound=back(opt.lower_bound, "optimizer_lower_bound"),
+        optimizer_lower_bound=opt.lower_bound,
         constructive_status=cons.status,
         excluded_fraction=cons.excluded_fraction,
-        best_approx_numerator=SliceLaurentSeries.from_rows(
-            num.exps, back(num.rows, "best_approx_numerator")),
+        best_approx_numerator=num,
         best_approx_denominator=den,
     )
 

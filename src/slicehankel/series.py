@@ -393,7 +393,9 @@ def l2_inner(f: SliceLaurentSeries, g: SliceLaurentSeries) -> Quaternion:
 
 
 def l2_norm(f: SliceLaurentSeries) -> float:
-    return math.sqrt(fsum(v ** 2 for v in f.rows.ravel().tolist()))
+    """sqrt of the fsum of squares, on f ``_normalized`` and scaled back."""
+    f, scale = _normalized(f)
+    return _scale_back(math.sqrt(fsum(v ** 2 for v in f.rows.ravel().tolist())), scale, "l2_norm")
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +404,12 @@ def l2_norm(f: SliceLaurentSeries) -> float:
 
 
 def sphere_sup(a: Quaternion, b: Quaternion) -> float:
-    """sup over J in S of |a + Jb|, in closed form: the one-point case of
-    _sup_values, whose reference-slice values at J = +-i are a +- ib."""
-    (a1, a2), (b1, b2) = (arrays.to_pairs(np.array(q.components())) for q in (a, b))
+    """sup over J in S of |a + Jb| in closed form, on a + z b ``_normalized``:
+    the one-point case of _sup_values, whose values at J = +-i are a +- ib."""
+    f, scale = _normalized(SliceLaurentSeries({0: a, 1: b}))
+    (a1, a2), (b1, b2) = (arrays.to_pairs(np.array(f.coefficient(n).components())) for n in (0, 1))
     res = np.array([[a1 + 1j * b1, a1 - 1j * b1], [a2 + 1j * b2, a2 - 1j * b2]])
-    return float(_sup_values(res)[0])
+    return _scale_back(float(_sup_values(res)[0]), scale, "sphere_sup")
 
 
 def _sup_terms(res: np.ndarray):

@@ -50,6 +50,7 @@ from slicehankel.series import (
     load_series,
     project_plus,
     recip_star_at,
+    sphere_sup,
     star_mul,
     symmetrize,
 )
@@ -374,6 +375,18 @@ class TestConstructive:
         assert res.numerator.coefficient(1).isclose(Quaternion(3), tol=1e-6)
         diff = res.numerator - SliceLaurentSeries({1: Quaternion(3)})
         assert linf_norm(diff, 512) <= 1e-6
+
+    def test_route_without_g_runs_one_decomposition(self, monkeypatch):
+        # g = None reads the zero test and g from one Schmidt pair: one
+        # top_singular_pair, and no operator_norm for a separate Hankel norm
+        calls = {"top_singular_pair": 0, "operator_norm": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(nehari, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(nehari, name, counted)
+        constructive_best_approx(load_series(GOLDEN / "depth3.txt"), None, 4096)
+        assert calls == {"top_singular_pair": 1, "operator_norm": 0}
 
     def test_analytic_symbol_shortcut(self):
         phi = SliceLaurentSeries({0: ONE, 2: Quaternion(0, 1, 0, 0)})
@@ -921,6 +934,20 @@ def depth3_report():
     return approximation_report(load_series(GOLDEN / "depth3.txt"), 4096, 6, 20000)
 
 
+def depth3_routes(k):
+    """optimize_distance, and constructive_best_approx without and with g, on
+    depth3.txt 2^k at grid 4096, degree 6."""
+    phi = scaled(load_series(GOLDEN / "depth3.txt"), k)
+    return [optimize_distance(phi, 6, 4096, 20000),
+            constructive_best_approx(phi, None, 4096),
+            constructive_best_approx(phi, None, 4096, maximizing_vector(phi))]
+
+
+@pytest.fixture(scope="module")
+def depth3_base():
+    return depth3_routes(0)
+
+
 class TestScaling:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(_symbol, st.integers(-1000, 1000))
@@ -930,6 +957,10 @@ class TestScaling:
         assert linf_norm(g, 64) == linf_norm(f, 64) * 2.0 ** k
         assert bmo_norm(g, 64) == bmo_norm(f, 64) * 2.0 ** k
         assert hankel_norm(g) == hankel_norm(f) * 2.0 ** k
+        assert l2_norm(g) == l2_norm(f) * 2.0 ** k
+        n = int(f.exps.min(initial=0))
+        assert (sphere_sup(g.coefficient(n), g.coefficient(n + 1))
+                == sphere_sup(f.coefficient(n), f.coefficient(n + 1)) * 2.0 ** k)
 
     @pytest.mark.parametrize("norm", [linf_norm, bmo_norm, hankel_norm])
     def test_norm_above_the_double_range_is_refused(self, norm):
@@ -947,6 +978,15 @@ class TestScaling:
         assert hankel_norm(scaled(phi, k)) == hankel_norm(phi) * 2.0 ** k
         assert maximizing_vector(scaled(phi, k)) == maximizing_vector(phi)
 
+    def test_report_below_the_double_range_is_printed(self):
+        # 1e308 at n = -1, -2: every reported number fits, while the
+        # optimizer's first iterate, the sup at its start, does not
+        phi = SliceLaurentSeries({n: Quaternion(1e308) for n in (-1, -2)})
+        rep = approximation_report(phi, 4096, 6, 20000)
+        assert rep.optimizer_status == "converged"
+        assert rep.hankel_norm <= rep.distance < math.inf
+        assert optimize_distance(phi, 6, 4096, 20000).iterates[0] == math.inf
+
     @pytest.mark.parametrize("k", [-1000, -600, -330, -46, -30, -10, 200, 260, 600, 1000])
     def test_report_scales_exactly(self, depth3_report, k):
         # the same converged solve at every scale: each number and the
@@ -962,3 +1002,22 @@ class TestScaling:
             elif f.name == "best_approx_numerator":
                 want = scaled(want, k)
             assert got == want, f.name
+
+    @pytest.mark.parametrize("k", [600, -600, -60, 1000, -1000])
+    def test_routines_scale_exactly(self, depth3_base, k):
+        # each routine runs on the normalized symbol itself: every distance,
+        # bound, iterate and numerator is 2^k times the k = 0 one, and the
+        # denominator, counts and states are equal
+        opt, *routes = depth3_base
+        assert (opt.status, opt.evaluations) == ("converged", 197)
+        assert [r.status for r in routes] == ["ok", "ok"]
+        for want, got in zip(depth3_base, depth3_routes(k)):
+            for f in fields(got):
+                w, g = getattr(want, f.name), getattr(got, f.name)
+                if f.name in ("distance", "lower_bound"):
+                    w = w * 2.0 ** k
+                elif f.name == "iterates":
+                    w = [v * 2.0 ** k for v in w]
+                elif f.name in ("best_approx", "numerator"):
+                    w = scaled(w, k)
+                assert g == w, f.name
