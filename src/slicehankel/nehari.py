@@ -409,13 +409,13 @@ class _WorkingSet:
 class _HalfGrid:
     """The full-grid check: the sup of |phi - f| at e^{+-it_k},
     k = 0 .. grid // 2, which covers the grid as the sup is even in t.
-    ``phi`` holds phi's samples in the half layout of ``_half_samples``.
+    ``phi`` and ``res`` hold samples in the layout of ``_half_samples``.
 
     f is evaluated on the whole grid by one batched inverse FFT of length
     L, the least divisor of grid above degree, in place in ``table``: with
     M = grid / L and k = r + M j, f(e^{it_k}) = sum_n (f_n e^{int_r})
     e^{2 pi i nj / L}, so the FFT along n of the (L, M) table f_n e^{int_r}
-    lands in grid order.  The - rows at index -k read it reversed."""
+    lands in grid order."""
 
     def __init__(self, phi: SliceLaurentSeries, grid: int, degree: int):
         d1 = degree + 1
@@ -427,19 +427,13 @@ class _HalfGrid:
         self.table = np.empty((2, length, grid // length), dtype=complex)
 
     def sups(self, x: np.ndarray) -> np.ndarray:
-        res, table = self.res, self.table
-        half, d1 = res.shape[1] // 2, len(self.twiddle)
+        table, d1 = self.table, len(self.twiddle)
         f = x.reshape(-1, 4).view(complex)  # the coefficient pairs of f
         np.multiply(f.T[:, :, None], self.twiddle, out=table[:, :d1])
         table[:, d1:] = 0.0  # the last call's FFT wrote over the rows above degree
         np.fft.ifft(table, axis=1, norm="forward", out=table)
-        values = table.reshape(2, -1)
-        grid = values.shape[1]
-        np.subtract(self.phi[:, :half], values[:, :half], out=res[:, :half])
-        np.subtract(self.phi[:, half], values[:, 0], out=res[:, half])
-        np.subtract(self.phi[:, half + 1:], values[:, grid - 1:grid - half:-1],
-                    out=res[:, half + 1:])
-        return _sup_values(res)
+        res = _half_samples(table.reshape(2, -1), out=self.res)
+        return _sup_values(np.subtract(self.phi, res, out=res))
 
 
 def _center(ws: _WorkingSet, s: float, x: np.ndarray, tau: float, budget: int):
@@ -585,18 +579,18 @@ class ApproximationReport:
         """The better of the two analytic competitors' distances."""
         return min(self.constructive_distance, self.optimized_distance)
 
-    def check(self, tol: float = 1e-6) -> bool:
+    def check(self) -> bool:
         """The always-true direction: the Hankel norm never exceeds the
-        distance realized by any analytic competitor, up to tol relative."""
-        return self.hankel_norm <= self.distance + tol * self.hankel_norm
+        distance realized by any analytic competitor, up to 1e-6 relative."""
+        return self.hankel_norm <= self.distance + 1e-6 * self.hankel_norm
 
-    def sandwich(self, tol: float = 2e-2) -> list[tuple[str, float, float]]:
+    def sandwich(self) -> list[tuple[str, float, float]]:
         """The paper's sandwich d <= ||Gamma|| <= 2d, d = ``distance`` and
         ||Gamma|| = ``hankel_norm``, as (check, measured, bound) rows that
-        pass when measured <= bound: relative tolerance tol, slack 1e-12."""
+        pass when measured <= bound: relative tolerance 2e-2, slack 1e-12."""
         d, gamma, slack = self.distance, self.hankel_norm, 1e-12
-        return [("sandwich_lower", d * (1.0 - tol), gamma + slack),
-                ("sandwich_upper", gamma, 2.0 * d * (1.0 + tol) + slack)]
+        return [("sandwich_lower", d * (1.0 - 2e-2), gamma + slack),
+                ("sandwich_upper", gamma, 2.0 * d * (1.0 + 2e-2) + slack)]
 
     def to_text(self) -> str:
         """One ``name: value`` line per field in field order: repr for

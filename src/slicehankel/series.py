@@ -5,8 +5,9 @@ the concrete carrier for slice functions: the star product, regular
 conjugation, symmetrization, Hardy projections and the L2 / Linf / BMO norm
 machinery all act on it.
 
-Coefficient convolutions and inner products are accumulated with math.fsum so
-the algebraic identities (conjugation anti-homomorphism, reality of the
+Coefficient convolutions and inner products are accumulated by one kernel,
+``_fsum_products``, as math.fsum of the expanded Hamilton products, so the
+algebraic identities (conjugation anti-homomorphism, reality of the
 symmetrization, norm invariance under conjugation) hold exactly in floating
 point, not just up to rounding.
 """
@@ -265,12 +266,14 @@ def _reversed(v: np.ndarray) -> np.ndarray:
     return np.roll(v[..., ::-1], 1, axis=-1)
 
 
-def _half_samples(plus: np.ndarray) -> np.ndarray:
+def _half_samples(plus: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """[[A+ | A-], [B+ | B-]] at k = 0 .. grid // 2 from the + samples (A- at
-    -k): the layout of _sup_values, which covers the grid as the sup is even."""
+    -k): the layout of _sup_values, which covers the grid as the sup is even.
+    Written into ``out`` when given, and returned."""
     grid = plus.shape[-1]
     half = grid // 2 + 1
-    out = np.empty((*plus.shape[:-1], 2 * half), dtype=plus.dtype)
+    if out is None:
+        out = np.empty((*plus.shape[:-1], 2 * half), dtype=plus.dtype)
     out[..., :half] = plus[..., :half]
     out[..., half] = plus[..., 0]
     out[..., half + 1:] = plus[..., :grid - half:-1]
@@ -302,24 +305,28 @@ def extend_from_slice(
 def star_mul(f: SliceLaurentSeries, g: SliceLaurentSeries) -> SliceLaurentSeries:
     """Coefficient convolution c_n = sum_k a_k b_{n-k} (f's coefficients left).
 
-    Each output component is an fsum over the fully expanded scalar products,
-    so conj_c(star_mul(f, g)) == star_mul(conj_c(g), conj_c(f)) exactly.
+    Each c_n is the ``_fsum_products`` of its pairs (a_k, b_{n-k}), so
+    conj_c(star_mul(f, g)) == star_mul(conj_c(g), conj_c(f)) exactly.
     """
-    buckets: dict[int, tuple[list, list, list, list]] = {}
-    for kf, (aw, ax, ay, az) in zip(f.exps.tolist(), f.rows.tolist()):
-        for kg, (bw, bx, by, bz) in zip(g.exps.tolist(), g.rows.tolist()):
-            n = kf + kg
-            bucket = buckets.get(n)
-            if bucket is None:
-                bucket = ([], [], [], [])
-                buckets[n] = bucket
-            lw, lx, ly, lz = bucket
-            lw += (aw * bw, -ax * bx, -ay * by, -az * bz)
-            lx += (aw * bx, ax * bw, ay * bz, -az * by)
-            ly += (aw * by, -ax * bz, ay * bw, az * bx)
-            lz += (aw * bz, ax * by, -ay * bx, az * bw)
+    buckets: dict[int, list] = {}
+    for kf, a in zip(f.exps.tolist(), f.rows.tolist()):
+        for kg, b in zip(g.exps.tolist(), g.rows.tolist()):
+            buckets.setdefault(kf + kg, []).append((a, b))
     ns = sorted(buckets)
-    return SliceLaurentSeries.from_rows(ns, [[fsum(c) for c in buckets[n]] for n in ns])
+    return SliceLaurentSeries.from_rows(ns, [_fsum_products(buckets[n]) for n in ns])
+
+
+def _fsum_products(pairs) -> list[float]:
+    """The (w, x, y, z) of sum p q over the quaternion pairs (p, q), each
+    component the fsum of its expanded scalar products: correctly rounded,
+    whatever the order of the pairs, so star_mul and l2_inner are exact."""
+    lw, lx, ly, lz = [], [], [], []
+    for (pw, px, py, pz), (qw, qx, qy, qz) in pairs:
+        lw += (pw * qw, -px * qx, -py * qy, -pz * qz)
+        lx += (pw * qx, px * qw, py * qz, -pz * qy)
+        ly += (pw * qy, -px * qz, py * qw, pz * qx)
+        lz += (pw * qz, px * qy, -py * qx, pz * qw)
+    return [fsum(lw), fsum(lx), fsum(ly), fsum(lz)]
 
 
 def conj_c(f: SliceLaurentSeries) -> SliceLaurentSeries:
@@ -337,15 +344,13 @@ def symmetrize(f: SliceLaurentSeries) -> SliceLaurentSeries:
     return SliceLaurentSeries.from_rows(raw.exps, np.pad(raw.rows[:, :1], ((0, 0), (0, 3))))
 
 
-def recip_star_at(
-    f: SliceLaurentSeries, p: BoundaryPoint, tol: float = 1e-10
-) -> Quaternion:
+def recip_star_at(f: SliceLaurentSeries, p: BoundaryPoint) -> Quaternion:
     """Pointwise star-reciprocal (f^s(p))^{-1} f^c(p), formed on f 2^-e of
     ``_normalized`` and scaled by 2^-e, as the reciprocal of f c is that of
-    f times 1/c; the cutoff tol on |f^s(p)| is thus relative to f's scale."""
+    f times 1/c; |f^s(p)| <= 1e-10, a cutoff relative to f's scale, is refused."""
     f, scale = _normalized(f)
     fs_val = evaluate(symmetrize(f), p)
-    if abs(fs_val) <= tol:
+    if abs(fs_val) <= 1e-10:
         raise ValueError("symmetrization vanishes at point")
     return fs_val.inverse() * evaluate(conj_c(f), p) / scale
 
@@ -383,13 +388,7 @@ def project_minus(f: SliceLaurentSeries) -> SliceLaurentSeries:
 def l2_inner(f: SliceLaurentSeries, g: SliceLaurentSeries) -> Quaternion:
     """<f, g> = sum_n conj(b_n) a_n over the joint support."""
     _, a, b = _aligned(f, g)
-    lw, lx, ly, lz = [], [], [], []
-    for (qw, qx, qy, qz), (pw, px, py, pz) in zip(a.tolist(), (b * _CONJ).tolist()):
-        lw += (pw * qw, -px * qx, -py * qy, -pz * qz)
-        lx += (pw * qx, px * qw, py * qz, -pz * qy)
-        ly += (pw * qy, -px * qz, py * qw, pz * qx)
-        lz += (pw * qz, px * qy, -py * qx, pz * qw)
-    return Quaternion(fsum(lw), fsum(lx), fsum(ly), fsum(lz))
+    return Quaternion(*_fsum_products(zip((b * _CONJ).tolist(), a.tolist())))
 
 
 def l2_norm(f: SliceLaurentSeries) -> float:

@@ -833,8 +833,8 @@ class TestBarrierSolver:
         optimize_distance(phi, degree=30, grid=136, budget=100)
 
 
-def sandwich_holds(rep, tol=2e-2):
-    return all(measured <= bound for _, measured, bound in rep.sandwich(tol))
+def sandwich_holds(rep):
+    return all(measured <= bound for _, measured, bound in rep.sandwich())
 
 
 def equality_holds(rep, tol=2e-2):

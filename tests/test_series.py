@@ -319,6 +319,19 @@ class TestL2Structure:
         f = random_series(rng)
         assert l2_norm(f) == l2_norm(conj_c(f))
 
+    def test_inner_product_conjugate_symmetric_to_the_bit(self):
+        # <g, f> holds the products of <f, g> with the imaginary ones negated,
+        # and fsum rounds their exact sum once, so conjugation is exact
+        def qbits(q):
+            return np.array(q.components()).view(np.int64).tolist()
+
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            f, g = random_series(rng), random_series(rng)
+            assert qbits(l2_inner(f, g)) == qbits(l2_inner(g, f).conjugate())
+            squares = math.fsum((f.rows.ravel() ** 2).tolist())
+            assert qbits(l2_inner(f, f)) == qbits(Quaternion(squares, 0.0, 0.0, 0.0))
+
 
 class TestSupNorms:
     def test_sphere_sup_brute_force(self):
@@ -362,6 +375,10 @@ class TestSupNorms:
             assert np.array_equal(full, _reversed(full))
             half = _sup_values(_half_samples(plus))
             assert np.array_equal(half, full[:grid // 2 + 1])
+            # the buffer form writes every entry of out, bit for bit the same
+            buf = np.full((2, 2 * (grid // 2 + 1)), np.nan, dtype=complex)
+            assert _half_samples(plus, out=buf) is buf
+            assert buf.tobytes() == _half_samples(plus).tobytes()
             assert linf_norm(f, grid) == np.max(full)
 
     def test_linf_scales_exactly_by_powers_of_two(self):
