@@ -259,7 +259,6 @@ def cmd_demo(config: ExperimentConfig) -> int:
     c = Quaternion(0.6, 0.0, 0.8, 0.0)
     phi = SliceLaurentSeries({-1: c})
     rep = approximation_report(phi, config.grid, config.degree, config.budget)
-    g = maximizing_vector(phi)
     lines = [
         "# rank-one worked example",
         "# symbol: single negative coefficient at n = -1 with |c| = 1",
@@ -272,7 +271,7 @@ def cmd_demo(config: ExperimentConfig) -> int:
         "# the maximizing vector is the constant 1 up to a right unit factor",
         "maximizing_vector:",
     ]
-    lines += ["  " + ln for ln in dumps_series(g).splitlines()]
+    lines += ["  " + ln for ln in dumps_series(rep.maximizing_vector).splitlines()]
     lines += [
         "# best analytic approximation is 0; the distance equals |c|",
         f"constructive_distance: {rep.constructive_distance!r}",

@@ -4,7 +4,8 @@ bounded-regular approximation, and an independent minimax optimizer.
 The constructive route realizes f = phi - (H_phi g) * g^{-*} on grid samples,
 g a maximizing vector from the SVD of the complex embedding: h = H_phi g =
 P_-(phi * g) by one FFT round trip and, as g^{-*} = g^c * (g^s)^{-*} with g^s
-real, the correction (h * g^c) / g^s, so f = N / g^s, N = P_+(phi * g) * g^c.
+real, the correction (h * g^c) / g^s.  g fixes f exactly, as f = N / g^s with
+N = P_+(phi * g) * g^c, so the route returns g and not f's coefficients.
 The optimizer minimizes the sampled sup norm of phi - f over polynomial f as
 a linear matrix inequality, by a log-det barrier method on a working set of
 grid points grown by Remez-style exchange, and certifies its value by the
@@ -50,7 +51,6 @@ from .series import (
     l2_norm,
     linf_norm,
     project_minus,
-    project_plus,
 )
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
 ]
 
 _ZERO_NORM_TOL = 1e-13
-_ONE = SliceLaurentSeries.constant(Quaternion(1.0))
 
 
 def _block_size(phi: SliceLaurentSeries) -> int:
@@ -127,10 +126,11 @@ def _schmidt_pair(phi: SliceLaurentSeries) -> SliceLaurentSeries | None:
 
 @dataclass
 class ConstructiveResult:
-    """f = numerator / denominator; zeros_in_disc counts f's poles in the disc."""
+    """g, the maximizing vector the route used (the zero series for a zero
+    operator), fixes its competitor exactly; zeros_in_disc counts the zeros
+    of g^s in the disc, f's poles."""
 
-    numerator: SliceLaurentSeries
-    denominator: SliceLaurentSeries
+    vector: SliceLaurentSeries
     distance: float
     zeros_in_disc: int
     excluded_fraction: float
@@ -147,51 +147,38 @@ def constructive_best_approx(
     samples at e^{it_k} less the correction of ``_quotient_samples``, which
     at e^{-it_k} is the same at index -k.
 
-    Returns the sampled sup of |phi - f| as the distance, and f exactly as
-    N / g^s: N = f g^s = P_+(phi * g) * g^c is a polynomial of degree
-    max(n_max(phi), 0) + 2 deg g, whose FFT bins the grid rule leaves
-    unaliased.  The status is "ok" only when g^s has no zero in the disc
-    (``zeros_in_disc``, by the argument principle on its samples), none at a
-    grid point (a pole of f on the circle, excluded from the sup) and every
-    phase step between neighbouring samples is below pi / 2, so that the
-    count is resolved.
+    Returns the sampled sup of |phi - f| as the distance, and g as
+    ``vector``, which fixes f exactly as N / g^s with the star algebra's
+    N = star_mul(project_plus(star_mul(phi, g)), conj_c(g)) and
+    g^s = symmetrize(g); a zero g stands for f = project_plus(phi).  The
+    status is "ok" only when g^s has no zero in the disc (``zeros_in_disc``,
+    by the argument principle on its samples), none at a grid point (a pole
+    of f on the circle, excluded from the sup) and every phase step between
+    neighbouring samples is below pi / 2, so that the count is resolved.
 
     g is the maximizing vector to use; without it the route takes that of
-    ``_schmidt_pair``, or returns phi's analytic part over 1 for a zero
-    operator.  It runs on phi ``_normalized`` and scales back the distance
-    and numerator.  N is unused, and kept only because callers pass it.
+    ``_schmidt_pair``, or the zero series for a zero operator, whose
+    distance is the sup of phi's principal part.  It runs on phi
+    ``_normalized`` and scales back the distance; g, a unit vector, is not
+    scaled.  N is unused, and kept only because callers pass it.
     """
     unscaled, (phi, scale) = phi, _normalized(phi)
     if g is None:
         g = _schmidt_pair(phi)
     if g is None:
         dist = linf_norm(project_minus(unscaled), grid)
-        return ConstructiveResult(project_plus(unscaled), _ONE, dist, 0, 0.0, "ok")
-    plus = _plus_samples(phi, grid)
-    quot, gs, excl = _quotient_samples(plus, g, grid)
+        return ConstructiveResult(SliceLaurentSeries(), dist, 0, 0.0, "ok")
+    quot, gs, excl = _quotient_samples(_plus_samples(phi, grid), g, grid)
     excluded = excl | _reversed(excl)
     vals = _sup_values(_half_samples(quot))
     good = ~excluded[:len(vals)]
     distance = float(np.max(vals[good])) if np.any(good) else 0.0
-    excluded_fraction = float(np.mean(excluded))
     steps = np.angle(np.roll(gs, -1) * np.conj(gs))
     zeros = round(float(np.sum(steps)) / (2.0 * np.pi))
     ok = zeros == 0 and not np.any(excl) and float(np.max(np.abs(steps))) < np.pi / 2
-
-    # N = f g^s = phi g^s - h * g^c over the quotient, and g^s, to coefficients
-    np.multiply(quot, gs, out=quot, where=~excl)
-    num = np.subtract(np.multiply(plus, gs, out=plus), quot, out=quot)
-    np.fft.fft(num, norm="forward", out=num)
-    np.fft.fft(gs, norm="forward", out=gs)
-    deg_s = 2 * int(g.exps.max(initial=0))
-    deg_n = int(phi.exps.max(initial=0)) + deg_s
-    num = _scale_back(arrays.from_pairs(*num[:, :deg_n + 1]), scale, "best_approx_numerator")
     return ConstructiveResult(
-        SliceLaurentSeries.from_rows(range(deg_n + 1), num),
-        SliceLaurentSeries.from_rows(range(deg_s + 1),
-                                     np.pad(gs[:deg_s + 1, None].real, ((0, 0), (0, 3)))),
-        _scale_back(distance, scale, "constructive_distance"), zeros, excluded_fraction,
-        "ok" if ok else "warning")
+        g, _scale_back(distance, scale, "constructive_distance"), zeros,
+        float(np.mean(excluded)), "ok" if ok else "warning")
 
 
 def _quotient_samples(plus: np.ndarray, g: SliceLaurentSeries, grid: int):
@@ -484,8 +471,9 @@ def optimize_distance(
     of Hessian index tables serves them all; its results are scaled back.
 
     The iterates, the best full-grid value after each outer step, are exact
-    sups for admissible competitors.  ``converged``: the last is within 1e-6
-    sup |phi| of the bound; ``evaluations`` counts sup-formula
+    sups for admissible competitors; a start within tol = 1e-6 sup |phi| of 0
+    is read by ``linf_norm`` of phi less it, at its own scale.  ``converged``:
+    the last is within tol of the bound; ``evaluations`` counts sup-formula
     evaluations (line-search trials and full-grid checks).  Stopped short by
     ``budget`` or by the working-set bound ``_WS_ENTRIES``, the best so far
     is ``budget_exhausted``.  Deterministic: ``seed`` is unused, and kept
@@ -505,6 +493,8 @@ def optimize_distance(
     start = (phi.exps >= 0) & (phi.exps <= degree)
     x.reshape(d1, 4)[phi.exps[start]] = phi.rows[start]
     best_x, best = x, float(np.max(check.sups(x)))
+    if best <= tol:  # lost to phi's rounding and underflow: read it at its own scale
+        best = linf_norm(SliceLaurentSeries.from_rows(phi.exps[~start], phi.rows[~start]), grid)
     evaluations, iterates, lower = 1, [best], 0.0
     stride = max(1, grid // max(256, 2 * d1))
     ws = _WorkingSet(check.phi, np.arange(0, half, stride), grid, degree, index)
@@ -545,7 +535,7 @@ def optimize_distance(
         lower_bound=_scale_back(lower, scale, "optimizer_lower_bound"),
         iterates=[v * scale for v in iterates],  # a trace: inf past the double range
         best_approx=SliceLaurentSeries.from_rows(
-            np.arange(d1), _scale_back(best_x.reshape(d1, 4), scale, "best_approx_numerator")),
+            np.arange(d1), _scale_back(best_x.reshape(d1, 4), scale, "optimizer_polynomial")),
         evaluations=evaluations,
         status="converged" if best - lower <= tol else "budget_exhausted",
     )
@@ -558,7 +548,12 @@ def optimize_distance(
 
 @dataclass
 class ApproximationReport:
-    """The numbers of one distance pipeline run, declared in print order."""
+    """The numbers of one distance pipeline run, declared in print order, and
+    what fixes each distance's competitor: the constructive route's unit
+    ``maximizing_vector`` g (the zero series for a zero operator) and the
+    optimizer's polynomial.  g gives the constructive competitor exactly, as
+    N / g^s with N = star_mul(project_plus(star_mul(phi, g)), conj_c(g)) and
+    g^s = symmetrize(g), or project_plus(phi) for a zero g."""
 
     hankel_norm: float
     constructive_distance: float
@@ -571,8 +566,8 @@ class ApproximationReport:
     optimizer_lower_bound: float
     constructive_status: str
     excluded_fraction: float
-    best_approx_numerator: SliceLaurentSeries
-    best_approx_denominator: SliceLaurentSeries
+    maximizing_vector: SliceLaurentSeries
+    optimizer_polynomial: SliceLaurentSeries
 
     @property
     def distance(self) -> float:
@@ -614,15 +609,12 @@ def approximation_report(
     budget: int,
 ) -> ApproximationReport:
     """The distance pipeline: hankel_norm, constructive_best_approx and
-    optimize_distance on phi, each under its own scale rule, and the better
-    competitor as ``best_approx_numerator`` over ``best_approx_denominator``
-    (1 for the optimizer's).  ``hankel_block`` is the size k of the Hankel
-    block that was read."""
+    optimize_distance on phi, each under its own scale rule, and the
+    competitor of each distance.  ``hankel_block`` is the size k of the
+    Hankel block that was read."""
     hn = hankel_norm(phi)
     cons = constructive_best_approx(phi, None, grid)
     opt = optimize_distance(phi, degree, grid, budget)
-    num, den = ((cons.numerator, cons.denominator) if cons.distance <= opt.distance
-                else (opt.best_approx, _ONE))
     return ApproximationReport(
         hankel_norm=hn,
         constructive_distance=cons.distance,
@@ -635,8 +627,8 @@ def approximation_report(
         optimizer_lower_bound=opt.lower_bound,
         constructive_status=cons.status,
         excluded_fraction=cons.excluded_fraction,
-        best_approx_numerator=num,
-        best_approx_denominator=den,
+        maximizing_vector=cons.vector,
+        optimizer_polynomial=opt.best_approx,
     )
 
 

@@ -16,8 +16,14 @@ from slicehankel.series import (
     _half_samples,
     _plus_samples,
     _sup_values,
+    conj_c,
+    dumps_series,
+    load_series,
     loads_series,
+    project_plus,
     save_series,
+    star_mul,
+    symmetrize,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -28,7 +34,7 @@ SYMBOL_FAST = {"norm": GRID, "distance": FAST}
 
 
 # the report lines that scale with the symbol; the records of
-# best_approx_numerator scale too, those of best_approx_denominator do not
+# optimizer_polynomial scale too, those of the unit maximizing_vector do not
 _SCALED_FIELDS = {"hankel_norm", "linf_norm", "constructive_distance", "optimized_distance",
                   "optimizer_lower_bound"}
 
@@ -187,8 +193,8 @@ class TestConfig:
     def test_output_scales_exactly_by_powers_of_two(self, tmp_path, capsys,
                                                     command, symbol, k):
         # far past the squares' overflow and underflow, every number and
-        # every numerator component is 2^k times its k = 0 value, and the
-        # denominator's lines are unchanged
+        # every optimizer polynomial component is 2^k times its k = 0 value,
+        # and the maximizing vector's lines are unchanged
         phi = (loads_series((GOLDEN / "depth3.txt").read_text()) if symbol == "depth3"
                else SliceLaurentSeries({-1: Quaternion(1.0), -2: Quaternion(0, 0, 1.0, 0)}))
         outputs = []
@@ -203,14 +209,14 @@ class TestConfig:
         assert (code, err) == (code0, err0)
         lines0, lines = out0.splitlines(), out.splitlines()
         assert len(lines) == len(lines0)
-        denominator = False
+        polynomial = False
         for line0, line in zip(lines0, lines):
             name, _, value = line0.partition(": ")
             if not line0.startswith(" "):
-                denominator = line0 == "best_approx_denominator:"
+                polynomial = line0 == "optimizer_polynomial:"
             if name in _SCALED_FIELDS:
                 assert line == f"{name}: {float(value) * 2.0 ** k!r}"
-            elif line0.startswith("  ") and not line0.startswith("  #") and not denominator:
+            elif line0.startswith("  ") and not line0.startswith("  #") and polynomial:
                 n, *comps = line0.split()
                 assert line.split() == [n, *(repr(float(c) * 2.0 ** k) for c in comps)]
             else:
@@ -387,14 +393,16 @@ class TestDistanceAndNorm:
         oracle = abs(c) / (1.0 - abs(lam) ** 2)
         code, out, _ = run(capsys, ["distance", "--symbol", str(path), "--grid", "8192"])
         assert code == 0
-        head, _, blocks = out.partition("best_approx_numerator:\n")
-        num, _, den = blocks.partition("best_approx_denominator:\n")
+        head, _, blocks = out.partition("maximizing_vector:\n")
+        g = loads_series(blocks.partition("optimizer_polynomial:\n")[0])
         values = dict(line.split(": ", 1) for line in head.splitlines())
         assert abs(float(values["hankel_norm"]) - oracle) <= 1e-14 * oracle
         assert abs(float(values["constructive_distance"]) - oracle) <= 1e-12 * oracle
-        # phi - N / g^s sampled as pairs over the samples of the real g^s
+        # phi - N / g^s from the printed g, N = P_+(phi * g) * g^c, sampled
+        # as pairs over the samples of the real g^s = g * g^c
+        num = star_mul(project_plus(star_mul(phi, g)), conj_c(g))
         res = _plus_samples(phi, 2**18)
-        res -= _plus_samples(loads_series(num), 2**18) / _plus_samples(loads_series(den), 2**18)[0]
+        res -= _plus_samples(num, 2**18) / _plus_samples(symmetrize(g), 2**18)[0]
         assert abs(float(np.max(_sup_values(_half_samples(res)))) - oracle) <= 1e-11 * oracle
 
     def test_report_states_hankel_block(self, tmp_path, capsys):
@@ -405,6 +413,30 @@ class TestDistanceAndNorm:
             code, out, _ = run(capsys, ["distance", "--symbol", str(path), *FAST])
             assert code == 0
             assert f"\nhankel_block: {block}\n" in out
+
+    @pytest.mark.parametrize("name", ["depth3.txt", "rank_one.txt", "deep128.txt"])
+    def test_report_prints_maximizing_vector(self, capsys, name):
+        # the block is the g of maximizing_vector, which fixes the
+        # constructive competitor; the optimizer's polynomial follows it
+        code, out, _ = run(capsys, ["distance", "--symbol", str(GOLDEN / name),
+                                    "--grid", "1024", "--degree", "2", "--budget", "300"])
+        assert code == 0
+        block = out.partition("maximizing_vector:\n")[2].partition("optimizer_polynomial:\n")[0]
+        want = dumps_series(nehari.maximizing_vector(load_series(GOLDEN / name)))
+        assert block == "".join("  " + line + "\n" for line in want.splitlines())
+
+    @pytest.mark.parametrize("a", [1e-200, 1e-300])
+    def test_tiny_principal_part_distance_not_below_hankel_norm(self, tmp_path, capsys, a):
+        # phi = 1 + a q^-1: the optimizer's start, phi's analytic part, leaves
+        # a residual whose squares underflow at phi's scale; it is read at
+        # its own, so the optimized distance is a's sup, not 0
+        path = tmp_path / "tiny.txt"
+        save_series(SliceLaurentSeries({-1: Quaternion(a), 0: Quaternion(1.0)}), path)
+        code, out, _ = run(capsys, ["distance", "--symbol", str(path)])
+        values = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+        assert code == 0
+        assert float(values["optimized_distance"]) >= float(values["hankel_norm"]) > 0.0
+        assert values["optimizer_status"] == "converged"
 
     def test_analytic_symbol(self, tmp_path, capsys):
         path = tmp_path / "symbol.txt"

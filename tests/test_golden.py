@@ -35,6 +35,7 @@ CASES = {
     "norm_rank_one": ["norm", "--symbol", "rank_one.txt"],
     "distance_rank_one": ["distance", "--symbol", "rank_one.txt"],
     "distance_deep128": ["distance", "--symbol", "deep128.txt"],
+    "distance_tiny": ["distance", "--symbol", "tiny.txt"],
 }
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -48,6 +48,7 @@ from slicehankel.series import (
     l2_norm,
     linf_norm,
     load_series,
+    project_minus,
     project_plus,
     recip_star_at,
     sphere_sup,
@@ -88,13 +89,38 @@ def harmonic_symbol(depth):
     return SliceLaurentSeries({-n: Quaternion(1.0 / n) for n in range(1, depth + 1)})
 
 
-def residual_sup(phi, res, grid):
-    """The sampled sup of |phi - numerator / denominator| of a constructive
-    result: the numerator's pair samples divided by the samples of the
-    denominator, whose coefficients are real."""
+def competitor(phi, g):
+    """(N, g^s) of the competitor N / g^s that the maximizing vector g fixes,
+    by the exact star algebra: N = P_+(phi * g) * g^c and g^s = g * g^c."""
+    return star_mul(project_plus(star_mul(phi, g)), conj_c(g)), symmetrize(g)
+
+
+def residual_sup(phi, g, grid):
+    """The sampled sup of |phi - N / g^s| for the competitor g fixes: N's
+    pair samples divided by the samples of g^s, whose coefficients are real."""
+    num, den = competitor(phi, g)
     r = _plus_samples(phi, grid)
-    r -= _plus_samples(res.numerator, grid) / _plus_samples(res.denominator, grid)[0]
+    r -= _plus_samples(num, grid) / _plus_samples(den, grid)[0]
     return float(np.max(_sup_values(_half_samples(r))))
+
+
+def assert_route_exact(phi, g, grid):
+    """The route's samples of f g^s = phi g^s - h * g^c (its quotient holds
+    h * g^c undivided at excluded points) and of g^s hold N and g^s of
+    ``competitor`` in their FFT bins 0 .. deg, deg N = max(n_max, 0) +
+    2 deg g and deg g^s = 2 deg g, and only rounding above."""
+    num, den = competitor(phi, g)
+    deg_s = 2 * int(g.exps.max())
+    assert num.exps.max() <= max(int(phi.exps.max()), 0) + deg_s and den.exps.max() <= deg_s
+    plus = _plus_samples(phi, grid)
+    quot, gs, excl = _quotient_samples(plus, g, grid)
+    want = np.zeros((2, grid), dtype=complex)
+    want[:, num.exps] = arrays.to_pairs(num.rows)
+    bins = np.fft.fft(plus * gs - np.where(excl, quot, quot * gs)) / grid
+    assert np.max(np.abs(bins - want)) <= 1e-13 * max_abs(num)
+    want = np.zeros(grid, dtype=complex)
+    want[den.exps] = den.rows[:, 0]
+    assert np.max(np.abs(np.fft.fft(gs) / grid - want)) <= 1e-14
 
 
 def max_abs(f):
@@ -263,8 +289,7 @@ class TestMaximizingVector:
         with pytest.raises(ValueError):
             maximizing_vector(phi, 16)
         res = constructive_best_approx(phi, 16, 64)
-        assert (res.numerator, res.denominator) == (SliceLaurentSeries({1: ONE}),
-                                                    SliceLaurentSeries({0: ONE}))
+        assert res.vector == SliceLaurentSeries()
 
     def test_deep_symbol_ritz_vector(self):
         # depth 300 is above the dense-SVD crossover, so g is the Lanczos
@@ -307,7 +332,8 @@ class TestConstructive:
         res = constructive_best_approx(phi, 16, 512)
         assert res.distance == pytest.approx(1.0, abs=1e-6)
         assert (res.zeros_in_disc, res.status) == (0, "ok")
-        assert residual_sup(SliceLaurentSeries(), res, 512) <= 1e-6
+        # g = 1, so the competitor N / g^s = P_+(phi) / 1 is 0
+        assert competitor(phi, res.vector) == (SliceLaurentSeries(), SliceLaurentSeries({0: ONE}))
 
     @pytest.mark.parametrize("grid", [1040, 4096, 16384])
     def test_slow_decay_has_no_alias(self, grid):
@@ -320,27 +346,18 @@ class TestConstructive:
 
     @pytest.mark.parametrize("name", ["depth3.txt", "rank_one.txt", "4", "7", "10"])
     def test_competitor_is_exact_rational(self, name):
-        # N = P_+(phi * g) * g^c and g^s = g * g^c by the fsum star products;
-        # the FFT of f g^s on the grid holds only rounding above
-        # deg N = max(n_max, 0) + 2 deg g
+        # the route returns the g it was given, and its samples of f g^s and
+        # g^s hold N = P_+(phi * g) * g^c and g^s = g * g^c of the fsum star
+        # products in their FFT bins, with only rounding above
         if name.endswith(".txt"):
             phi = load_series(GOLDEN / name)
         else:
             phi = deep_symbol(np.random.default_rng(64 + int(name)), int(name))
-        grid = 4096
         g = maximizing_vector(phi)
-        res = constructive_best_approx(phi, None, grid, g)
+        res = constructive_best_approx(phi, None, 4096, g)
         assert (res.zeros_in_disc, res.status) == (0, "ok")
-        want = star_mul(project_plus(star_mul(phi, g)), conj_c(g))
-        top = max_abs(want)
-        assert max_abs(res.numerator - want) <= 1e-13 * top
-        assert max_abs(res.denominator - symmetrize(g)) <= 1e-14
-        plus = _plus_samples(phi, grid)
-        quot, gs, _ = _quotient_samples(plus, g, grid)
-        bins = np.fft.fft((plus - quot) * gs) / grid
-        deg_n = max(int(phi.exps.max()), 0) + 2 * int(g.exps.max())
-        assert want.exps.max() <= deg_n
-        assert np.max(np.abs(bins[:, deg_n + 1:])) <= 1e-13 * top
+        assert res.vector == g
+        assert_route_exact(phi, g, 4096)
 
     @pytest.mark.parametrize("a, grid, zeros, status", [
         (-2.0, 4096, 2, "warning"), (-0.99, 4096, 0, "ok"), (-0.99, 64, 0, "warning")])
@@ -348,33 +365,31 @@ class TestConstructive:
         # g = 1 + a q: g^s = (1 + a q)^2 has a double zero at -1/a.  At 1/2
         # the winding number counts both; at 1/0.99, outside the disc, none,
         # but on 64 points a phase step near t = 0 measured 2.8 > pi/2, so
-        # the count is not resolved there.  N is exact in every case.
+        # the count is not resolved there.  The samples are exact in every case.
         phi = load_series(GOLDEN / "depth3.txt")
         g = SliceLaurentSeries({0: ONE, 1: Quaternion(a)})
         res = constructive_best_approx(phi, None, grid, g)
         assert (res.zeros_in_disc, res.excluded_fraction, res.status) == (zeros, 0.0, status)
-        want = star_mul(project_plus(star_mul(phi, g)), conj_c(g))
-        assert max_abs(res.numerator - want) <= 1e-13 * max_abs(want)
-        assert max_abs(res.denominator - symmetrize(g)) <= 1e-14
+        assert res.vector == g
+        assert_route_exact(phi, g, grid)
 
     def test_zero_on_the_circle_warns(self):
         # g = 1 - q: the double zero of g^s at 1 sits on the grid point
-        # t = 0, which is excluded, a pole of f on the circle; N stays exact
+        # t = 0, which is excluded, a pole of f on the circle; the samples
+        # of f g^s stay exact
         phi = load_series(GOLDEN / "depth3.txt")
         g = SliceLaurentSeries({0: ONE, 1: Quaternion(-1.0)})
         res = constructive_best_approx(phi, None, 4096, g)
         assert res.status == "warning" and res.excluded_fraction > 0.0
-        want = star_mul(project_plus(star_mul(phi, g)), conj_c(g))
-        assert max_abs(res.numerator - want) <= 1e-13 * max_abs(want)
+        assert res.vector == g
+        assert_route_exact(phi, g, 4096)
 
     def test_analytic_part_recovered(self):
         phi = SliceLaurentSeries({-1: ONE, 1: Quaternion(3)})
         res = constructive_best_approx(phi, 16, 512)
         assert res.distance == pytest.approx(1.0, abs=1e-6)
-        assert res.denominator == SliceLaurentSeries({0: ONE})
-        assert res.numerator.coefficient(1).isclose(Quaternion(3), tol=1e-6)
-        diff = res.numerator - SliceLaurentSeries({1: Quaternion(3)})
-        assert linf_norm(diff, 512) <= 1e-6
+        assert competitor(phi, res.vector) == (SliceLaurentSeries({1: Quaternion(3)}),
+                                               SliceLaurentSeries({0: ONE}))
 
     def test_route_without_g_runs_one_decomposition(self, monkeypatch):
         # g = None reads the zero test and g from one Schmidt pair: one
@@ -388,11 +403,27 @@ class TestConstructive:
         constructive_best_approx(load_series(GOLDEN / "depth3.txt"), None, 4096)
         assert calls == {"top_singular_pair": 1, "operator_norm": 0}
 
+    def test_route_runs_four_ffts(self, monkeypatch):
+        # phi's and g's samples, and the forward and inverse FFT of phi * g
+        # for h = P_-(phi * g): nothing converts the competitor back
+        calls = []
+        for name in ("fft", "ifft"):
+            def counted(*args, _real=getattr(np.fft, name), **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        phi = load_series(GOLDEN / "depth3.txt")
+        g = maximizing_vector(phi)
+        for _ in range(2):
+            constructive_best_approx(phi, None, 8192, g)
+        assert len(calls) == 8
+
     def test_analytic_symbol_shortcut(self):
         phi = SliceLaurentSeries({0: ONE, 2: Quaternion(0, 1, 0, 0)})
         res = constructive_best_approx(phi, 16, 512)
         assert res.distance == 0.0
-        assert (res.numerator, res.denominator) == (phi, SliceLaurentSeries({0: ONE}))
+        # a zero operator's zero vector stands for the competitor P_+ phi
+        assert res.vector == SliceLaurentSeries()
 
     def test_distance_matches_hankel_norm(self):
         rng = np.random.default_rng(53)
@@ -465,7 +496,7 @@ class TestConstructive:
             phi = flat_symbol(np.random.default_rng(61 + depth), depth)
         hn = hankel_norm(phi, N)
         res = constructive_best_approx(phi, N, grid)
-        assert (residual_sup(phi, res, 2**18) - hn) / hn <= 1e-11
+        assert (residual_sup(phi, res.vector, 2**18) - hn) / hn <= 1e-11
 
     @pytest.mark.parametrize("k", [-43, -44])
     def test_small_symbol_distance_equals_hankel_norm(self, k):
@@ -482,13 +513,13 @@ class TestConstructive:
         g = maximizing_vector(phi, 32)
         base = constructive_best_approx(phi, 32, 1024, g=g)
         for _ in range(4):
-            gauged = constructive_best_approx(
-                phi, 32, 1024, g=g.times_right(random_unit(rng))
-            )
+            u = random_unit(rng)
+            gauged = constructive_best_approx(phi, 32, 1024, g=g.times_right(u))
             assert abs(gauged.distance - base.distance) <= 1e-10
             # g u for a unit u leaves g^s and N = P_+(phi * g) * g^c as they are
-            assert max_abs(gauged.numerator - base.numerator) <= 1e-13
-            assert max_abs(gauged.denominator - base.denominator) <= 1e-13
+            assert gauged.vector == g.times_right(u)
+            for got, want in zip(competitor(phi, gauged.vector), competitor(phi, g)):
+                assert max_abs(got - want) <= 1e-13
 
 
 class TestRationalOracle:
@@ -850,7 +881,7 @@ class TestReports:
                 if not line.startswith(" ")]
         assert keys == [f.name for f in fields(ApproximationReport)]
         assert keys[:3] == ["hankel_norm", "constructive_distance", "optimized_distance"]
-        assert keys[-2:] == ["best_approx_numerator", "best_approx_denominator"]
+        assert keys[-2:] == ["maximizing_vector", "optimizer_polynomial"]
         assert report.check()
 
     def test_report_for_analytic_symbol(self):
@@ -859,6 +890,22 @@ class TestReports:
         assert report.hankel_norm == 0.0
         assert report.constructive_distance == 0.0
         assert report.check()
+
+    @pytest.mark.parametrize("phi", [
+        SliceLaurentSeries({-1: Quaternion(1e-200), 0: ONE}),
+        SliceLaurentSeries({-1: Quaternion(1e-300), 0: ONE}),
+        SliceLaurentSeries({-2: Quaternion(3e-170, 1e-170), -1: Quaternion(1e-180, 0, 2e-175),
+                            0: Quaternion(1, 0.5), 1: Quaternion(0, 0, 0.25)})])
+    def test_tiny_residual_start_read_at_its_own_scale(self, phi):
+        # the start, phi's analytic part, leaves a residual that phi's
+        # rounding swamps at its scale (the squares underflow, or FFT noise
+        # of 9.2e-17 reads above it): its exact sup is read instead, as the
+        # start's one evaluation, and the solve is converged at once
+        opt = optimize_distance(phi, 6, 4096, 20000)
+        want = linf_norm(project_minus(phi), 4096)
+        assert (opt.distance, opt.iterates, opt.evaluations) == (want, [want], 1)
+        assert opt.status == "converged"
+        assert opt.distance >= hankel_norm(phi)
 
     def test_tiny_symbol_distance_not_below_hankel_norm(self):
         # the sup formula has no fourth powers to underflow at size 1e-100,
@@ -990,8 +1037,8 @@ class TestScaling:
     @pytest.mark.parametrize("k", [-1000, -600, -330, -46, -30, -10, 200, 260, 600, 1000])
     def test_report_scales_exactly(self, depth3_report, k):
         # the same converged solve at every scale: each number and the
-        # numerator are 2^k times the k = 0 report, the denominator, counts
-        # and states equal
+        # optimizer's polynomial are 2^k times the k = 0 report, the unit
+        # maximizing vector, counts and states equal
         rep = approximation_report(scaled(load_series(GOLDEN / "depth3.txt"), k),
                                    4096, 6, 20000)
         assert (rep.optimizer_status, rep.optimizer_evaluations) == ("converged", 197)
@@ -999,15 +1046,15 @@ class TestScaling:
             want, got = getattr(depth3_report, f.name), getattr(rep, f.name)
             if isinstance(want, float) and f.name != "excluded_fraction":
                 want = want * 2.0 ** k
-            elif f.name == "best_approx_numerator":
+            elif f.name == "optimizer_polynomial":
                 want = scaled(want, k)
             assert got == want, f.name
 
     @pytest.mark.parametrize("k", [600, -600, -60, 1000, -1000])
     def test_routines_scale_exactly(self, depth3_base, k):
         # each routine runs on the normalized symbol itself: every distance,
-        # bound, iterate and numerator is 2^k times the k = 0 one, and the
-        # denominator, counts and states are equal
+        # bound, iterate and optimizer polynomial is 2^k times the k = 0 one,
+        # and the maximizing vector, counts and states are equal
         opt, *routes = depth3_base
         assert (opt.status, opt.evaluations) == ("converged", 197)
         assert [r.status for r in routes] == ["ok", "ok"]
@@ -1018,6 +1065,6 @@ class TestScaling:
                     w = w * 2.0 ** k
                 elif f.name == "iterates":
                     w = [v * 2.0 ** k for v in w]
-                elif f.name in ("best_approx", "numerator"):
+                elif f.name == "best_approx":
                     w = scaled(w, k)
                 assert g == w, f.name
