@@ -366,7 +366,5 @@ def commutation_residual(r: QuaternionMatrix) -> float:
     """
     if r.rows != r.cols:
         raise ValueError("square truncation required")
-    if r.rows < 2:
-        return 0.0
     diff = r.data[1:, :-1] - r.data[:-1, 1:]
     return float(np.sqrt(np.sum(np.square(diff))))

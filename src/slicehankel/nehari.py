@@ -14,9 +14,10 @@ must agree.  Each runs on phi ``_normalized`` and scales back its numbers;
 ``approximation_report`` only composes the three, and its report checks the
 paper's sandwich on its numbers.
 
-Every Hankel matrix comes from ``hankel.hankel_from_symbol``, and all
-sampling on the boundary (the FFT grid sampler and the closed-form sphere
-sup) lives in ``series``; this module only combines the samples.
+Every Hankel matrix comes from ``hankel.hankel_from_symbol``; phi and g are
+sampled by the FFT sampler of ``series``, and every sup is its sphere sup.
+The optimizer evaluates its own polynomial, by a matmul at working-set points
+and by ``_HalfGrid``'s short batched FFT, in half the sampler's time.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def hankel_norm(phi: SliceLaurentSeries, N: int | None = None) -> float:
 
     The SVD runs on the k x k block of nonzero entries, k = -n_min, which
     any N x N truncation with N >= k only pads with zeros.  N is unused,
-    and kept only because existing callers pass it.
+    and kept only because ``perfbench/`` passes it.
     """
     phi, scale = _normalized(phi)
     return _scale_back(operator_norm(_hankel_block(phi)), scale, "hankel_norm")
@@ -94,8 +95,8 @@ def hankel_norm(phi: SliceLaurentSeries, N: int | None = None) -> float:
 def maximizing_vector(phi: SliceLaurentSeries,
                       N: int | None = None) -> SliceLaurentSeries:
     """Unit g in the Hardy space with ||H_phi g|| = ||H_phi|| (up to SVD
-    tolerance), the vector of ``_schmidt_pair``; a zero operator has none,
-    and raises.  N is unused, and kept only because existing callers pass it."""
+    tolerance), the vector of ``_schmidt_pair``; a zero operator has none, and
+    raises.  N is unused, and kept only because ``perfbench/`` passes it."""
     g = _schmidt_pair(_normalized(phi)[0])
     if g is None:
         raise ValueError("zero operator has no maximizing vector")
@@ -160,7 +161,7 @@ def constructive_best_approx(
     ``_schmidt_pair``, or the zero series for a zero operator, whose
     distance is the sup of phi's principal part.  It runs on phi
     ``_normalized`` and scales back the distance; g, a unit vector, is not
-    scaled.  N is unused, and kept only because callers pass it.
+    scaled.  N is unused, and kept only because ``perfbench/`` passes it.
     """
     unscaled, (phi, scale) = phi, _normalized(phi)
     if g is None:
@@ -477,7 +478,7 @@ def optimize_distance(
     evaluations (line-search trials and full-grid checks).  Stopped short by
     ``budget`` or by the working-set bound ``_WS_ENTRIES``, the best so far
     is ``budget_exhausted``.  Deterministic: ``seed`` is unused, and kept
-    only because existing callers pass it.
+    only because ``perfbench/`` passes it.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")

@@ -452,6 +452,9 @@ class TestCommutation:
         for _ in range(20):
             m = action_matrix(random_alpha(rng, 21), 11)
             assert commutation_residual(m) <= 1e-14
+        # 0 x 0 and 1 x 1 truncations have an empty interior
+        for n in (0, 1):
+            assert commutation_residual(QuaternionMatrix(np.zeros((n, n, 4)))) == 0.0
 
     def test_non_hankel_action_fails(self):
         # H_phi z^k -> H_phi z^(2k) has the matrix alpha(j + 2k), not Hankel

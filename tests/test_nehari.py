@@ -194,15 +194,15 @@ class TestHankelNorm:
     def test_rank_one(self):
         c = Quaternion(1, -2, 2, 4)
         phi = SliceLaurentSeries({-1: c})
-        assert hankel_norm(phi, 16) == pytest.approx(abs(c), abs=1e-12)
+        assert hankel_norm(phi) == pytest.approx(abs(c), abs=1e-12)
 
     def test_analytic_symbol_is_zero(self):
         phi = SliceLaurentSeries({0: ONE, 3: Quaternion(0, 2, 0, 0)})
-        assert hankel_norm(phi, 16) == 0.0
+        assert hankel_norm(phi) == 0.0
 
     def test_golden_ratio(self):
         phi = SliceLaurentSeries({-1: ONE, -2: ONE})
-        assert hankel_norm(phi, 16) == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
+        assert hankel_norm(phi) == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
 
     def test_block_measured_by_depth(self):
         # one coefficient at depth 30: a block sized by the count of
@@ -233,7 +233,7 @@ class TestHankelNorm:
 class TestMaximizingVector:
     def test_rank_one_constant(self):
         phi = SliceLaurentSeries({-1: ONE})
-        g = maximizing_vector(phi, 16)
+        g = maximizing_vector(phi)
         assert g.support == (0,)
         assert abs(g.coefficient(0)) == pytest.approx(1.0, abs=1e-12)
         assert l2_norm(apply_H(phi, g)) == pytest.approx(1.0, abs=1e-10)
@@ -242,15 +242,15 @@ class TestMaximizingVector:
         rng = np.random.default_rng(51)
         for _ in range(10):
             phi = random_symbol(rng)
-            hn = hankel_norm(phi, 32)
-            g = maximizing_vector(phi, 32)
+            hn = hankel_norm(phi)
+            g = maximizing_vector(phi)
             assert l2_norm(g) == pytest.approx(1.0, abs=1e-10)
             assert l2_norm(apply_H(phi, g)) >= hn * (1 - 1e-8)
 
     def test_right_gauge_preserves_achieved_norm(self):
         rng = np.random.default_rng(52)
         phi = random_symbol(rng)
-        g = maximizing_vector(phi, 16)
+        g = maximizing_vector(phi)
         u = random_unit(rng)
         assert l2_norm(apply_H(phi, g.times_right(u))) == pytest.approx(
             l2_norm(apply_H(phi, g)), abs=1e-13
@@ -259,10 +259,10 @@ class TestMaximizingVector:
     def test_gauge_lowest_coefficient_real_positive(self):
         rng = np.random.default_rng(55)
         for _ in range(10):
-            g = maximizing_vector(random_symbol(rng), 16)
+            g = maximizing_vector(random_symbol(rng))
             lead = g.coefficient(g.n_min)
             assert lead.w > 0.0 and lead.imag_norm() == 0.0
-        g = maximizing_vector(SliceLaurentSeries({-1: Quaternion(0.6, 0, 0.8, 0)}), 16)
+        g = maximizing_vector(SliceLaurentSeries({-1: Quaternion(0.6, 0, 0.8, 0)}))
         assert g == SliceLaurentSeries({0: ONE})
 
     def test_matches_padded_singular_vector(self):
@@ -279,15 +279,15 @@ class TestMaximizingVector:
 
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError):
-            maximizing_vector(SliceLaurentSeries({1: ONE}), 16)
+            maximizing_vector(SliceLaurentSeries({1: ONE}))
 
     def test_zero_band_rejected(self):
         # a Hankel norm of at most 1e-13 is a zero operator to the
         # constructive route, so no maximizing vector may be handed to it
         phi = SliceLaurentSeries({-1: Quaternion(0.0, 5e-14, 0.0, 0.0), 1: ONE})
-        assert 1e-14 < hankel_norm(phi, 16) <= 1e-13
+        assert 1e-14 < hankel_norm(phi) <= 1e-13
         with pytest.raises(ValueError):
-            maximizing_vector(phi, 16)
+            maximizing_vector(phi)
         res = constructive_best_approx(phi, 16, 64)
         assert res.vector == SliceLaurentSeries()
 
@@ -295,9 +295,8 @@ class TestMaximizingVector:
         # depth 300 is above the dense-SVD crossover, so g is the Lanczos
         # Ritz vector of hankel_norm in the same gauge as the dense branch
         phi = deep_symbol(np.random.default_rng(57), 300)
-        N = 2 * 300 + 8
-        hn = hankel_norm(phi, N)
-        g = maximizing_vector(phi, N)
+        hn = hankel_norm(phi)
+        g = maximizing_vector(phi)
         assert abs(l2_norm(apply_H(phi, g)) - hn) <= 1e-10 * hn
         assert l2_norm(g) == pytest.approx(1.0, abs=1e-14)
         lead = g.coefficient(g.n_min)
@@ -317,7 +316,7 @@ class TestMaximizingVector:
         phi = deep_symbol(np.random.default_rng(58), 1024)
         tracemalloc.start()
         try:
-            g = maximizing_vector(phi, 2 * 1024 + 8)
+            g = maximizing_vector(phi)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -424,12 +423,17 @@ class TestConstructive:
         assert res.distance == 0.0
         # a zero operator's zero vector stands for the competitor P_+ phi
         assert res.vector == SliceLaurentSeries()
+        # its path samples only phi's zero principal part, which the grid
+        # rule holds, like every series, to grid >= 16
+        for grid in (8, 0, -8):
+            with pytest.raises(ValueError, match="too coarse"):
+                constructive_best_approx(phi, None, grid)
 
     def test_distance_matches_hankel_norm(self):
         rng = np.random.default_rng(53)
         for _ in range(10):
             phi = random_symbol(rng)
-            hn = hankel_norm(phi, 32)
+            hn = hankel_norm(phi)
             res = constructive_best_approx(phi, 32, 2048)
             assert abs(res.distance - hn) <= 1e-2 * hn
             assert (res.zeros_in_disc, res.status) == (0, "ok")
@@ -449,7 +453,7 @@ class TestConstructive:
         # maximizing_vector, which refuses a Hankel norm below 1e-13)
         rng = np.random.default_rng(56)
         phi = deep_symbol(rng, depth)
-        g = maximizing_vector(phi, 2 * depth + 8)
+        g = maximizing_vector(phi)
         phi = phi.times_right(Quaternion(scale))
         h = apply_H(phi, g)
         grid = 256
@@ -494,7 +498,7 @@ class TestConstructive:
             phi = harmonic_symbol(depth)
         else:
             phi = flat_symbol(np.random.default_rng(61 + depth), depth)
-        hn = hankel_norm(phi, N)
+        hn = hankel_norm(phi)
         res = constructive_best_approx(phi, N, grid)
         assert (residual_sup(phi, res.vector, 2**18) - hn) / hn <= 1e-11
 
@@ -503,14 +507,14 @@ class TestConstructive:
         # h = H_phi g is below 1e-12 everywhere on the circle at these scales
         phi = load_series(GOLDEN / "depth3.txt")
         phi = SliceLaurentSeries({n: a * 2.0 ** k for n, a in phi.coeffs.items()})
-        hn = hankel_norm(phi, 64)
+        hn = hankel_norm(phi)
         res = constructive_best_approx(phi, 64, 4096)
         assert abs(res.distance - hn) <= 1e-12 * hn
 
     def test_gauge_invariance(self):
         rng = np.random.default_rng(54)
         phi = random_symbol(rng)
-        g = maximizing_vector(phi, 32)
+        g = maximizing_vector(phi)
         base = constructive_best_approx(phi, 32, 1024, g=g)
         for _ in range(4):
             u = random_unit(rng)
@@ -552,19 +556,19 @@ class TestRationalOracle:
 class TestOptimizer:
     def test_interpolation_case(self):
         phi = SliceLaurentSeries({0: Quaternion(1, 2, 0, 1), 2: Quaternion(0.5)})
-        res = optimize_distance(phi, degree=3, grid=512, budget=5000, seed=0)
+        res = optimize_distance(phi, degree=3, grid=512, budget=5000)
         assert res.distance <= 1e-6
 
     def test_rank_one_optimum_is_zero(self):
         phi = SliceLaurentSeries({-1: ONE})
-        res = optimize_distance(phi, degree=2, grid=512, budget=5000, seed=0)
+        res = optimize_distance(phi, degree=2, grid=512, budget=5000)
         assert res.distance == pytest.approx(1.0, abs=1e-3)
 
     def test_deterministic_and_monotone(self):
         rng = np.random.default_rng(55)
         phi = random_symbol(rng)
-        a = optimize_distance(phi, degree=3, grid=512, budget=3000, seed=7)
-        b = optimize_distance(phi, degree=3, grid=512, budget=3000, seed=7)
+        a = optimize_distance(phi, degree=3, grid=512, budget=3000)
+        b = optimize_distance(phi, degree=3, grid=512, budget=3000)
         assert a.distance == b.distance
         assert a.iterates == b.iterates
         for earlier, later in zip(a.iterates, a.iterates[1:]):
@@ -573,17 +577,20 @@ class TestOptimizer:
     def test_iterates_never_beat_hankel_norm(self):
         rng = np.random.default_rng(56)
         phi = random_symbol(rng)
-        hn = hankel_norm(phi, 32)
-        res = optimize_distance(phi, degree=4, grid=1024, budget=4000, seed=1)
+        hn = hankel_norm(phi)
+        res = optimize_distance(phi, degree=4, grid=1024, budget=4000)
         for it in res.iterates:
             assert hn <= it + 1e-6 * max(1.0, hn)
 
     def test_parameter_validation(self):
         phi = SliceLaurentSeries({-1: ONE})
         with pytest.raises(ValueError):
-            optimize_distance(phi, degree=-1, grid=512, budget=100, seed=0)
+            optimize_distance(phi, degree=-1, grid=512, budget=100)
         with pytest.raises(ValueError):
-            optimize_distance(phi, degree=1, grid=512, budget=0, seed=0)
+            optimize_distance(phi, degree=1, grid=512, budget=0)
+        for grid in (8, 0, -8):
+            with pytest.raises(ValueError, match="too coarse"):
+                optimize_distance(phi, degree=0, grid=grid, budget=100)
 
 
 def criterion5_symbol(rng):
@@ -777,7 +784,7 @@ class TestBarrierSolver:
     def test_golden_symbols_converge(self, name):
         phi = load_series(GOLDEN / name)
         res = self.check_certified(phi, 6, 4096)
-        assert hankel_norm(phi, 64) <= res.distance + 1e-6
+        assert hankel_norm(phi) <= res.distance + 1e-6
 
     def test_evaluations_pinned(self):
         # evaluations is a benchmark count: a faster Newton step must leave
@@ -795,14 +802,14 @@ class TestBarrierSolver:
         for _ in range(12):
             phi = criterion5_symbol(rng)
             res = self.check_certified(phi, 6, 8192)
-            assert all(hankel_norm(phi, 64) <= it + 1e-6 for it in res.iterates)
+            assert all(hankel_norm(phi) <= it + 1e-6 for it in res.iterates)
 
     def test_small_budget_warm_up_call(self):
         phi = SliceLaurentSeries({-2: Quaternion(1.0, 0.5, 0.0, 0.0),
                                   0: Quaternion(0.0, 0.0, 1.0, 0.0)})
         res = optimize_distance(phi, 1, 64, 40)
         assert math.isfinite(res.distance)
-        assert res.distance >= hankel_norm(phi, 16) - 1e-6
+        assert res.distance >= hankel_norm(phi) - 1e-6
         assert res.evaluations <= 40
 
     def test_budget_exhausted_keeps_best_iterate(self):
@@ -841,7 +848,7 @@ class TestBarrierSolver:
             coeffs = {n: Quaternion(*rng.normal(size=4)) for n in range(degree + 1)}
             coeffs[-1] = Quaternion(*rng.normal(size=4))
             phi = SliceLaurentSeries(coeffs)
-            hn = hankel_norm(phi, 16)
+            hn = hankel_norm(phi)
             res = optimize_distance(phi, degree, 1024, 20000)
             assert abs(res.distance - hn) <= 1e-9 * hn
 
@@ -849,7 +856,7 @@ class TestBarrierSolver:
         rng = np.random.default_rng(61)
         phi = SliceLaurentSeries({-m: Quaternion(*rng.normal(size=4))
                                   for m in (1, 2, 3)})
-        hn = hankel_norm(phi, 16)
+        hn = hankel_norm(phi)
         scale = max(1.0, linf_norm(phi, 4096))
         dists = [optimize_distance(phi, degree, 4096, 20000).distance
                  for degree in (6, 12, 24)]
@@ -950,7 +957,7 @@ class TestReports:
         alpha = [Quaternion(*rng.normal(size=4)) for _ in range(2)] + [Quaternion()] * 2
         phi = SliceLaurentSeries({-1: alpha[0], -2: alpha[1]})
         rep = verify_nehari_bounds(alpha, 4, 1024, 4000)
-        assert rep.hankel_norm == hankel_norm(phi, 16)
+        assert rep.hankel_norm == hankel_norm(phi)
         assert sandwich_holds(rep)
 
     def test_verify_hilbert_sequence_below_pi(self):

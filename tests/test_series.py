@@ -230,11 +230,16 @@ class TestStarAlgebra:
         assert fs == SliceLaurentSeries({0: ONE, 2: ONE})
 
     def test_symmetrize_is_real(self):
+        # f^s is the plain product, exactly real at any scale whose products
+        # stay finite: every imaginary component is +0.0, with nothing cut
         rng = np.random.default_rng(15)
-        for _ in range(50):
-            fs = symmetrize(random_series(rng))
-            for c in fs.coeffs.values():
-                assert c.imag_norm() == 0.0
+        for scale in (1.0, 2.0 ** 500, 2.0 ** -500):
+            for _ in range(50):
+                f = random_series(rng, scale=scale)
+                fs = symmetrize(f)
+                assert fs == star_mul(f, conj_c(f))
+                assert not fs.rows[:, 1:].any()
+                assert not np.signbit(fs.rows[:, 1:]).any()
 
     def test_recip_star_of_monomial(self):
         # f = q: f^s = q^2, f^c = q, so the star-reciprocal is e^{-tI}
@@ -434,6 +439,16 @@ class TestSupNorms:
         for norm in (linf_norm, bmo_norm):
             with pytest.raises(ValueError):
                 norm(f, 64)
+        # the zero series is held to grid >= 16 like any constant, and
+        # grids 0 and below get the rule's message, not numpy's
+        for grid in (0, 4, 15):
+            with pytest.raises(ValueError, match="too coarse"):
+                linf_norm(SliceLaurentSeries(), grid)
+        with pytest.raises(ValueError, match="too coarse"):
+            bmo_norm(SliceLaurentSeries({0: ONE}), 8)
+        with pytest.raises(ValueError, match="too coarse"):
+            linf_norm(SliceLaurentSeries({1: ONE}), -8)
+        assert linf_norm(SliceLaurentSeries(), 16) == 0.0
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(25)
