@@ -10,9 +10,9 @@ The optimizer minimizes the sampled sup norm of phi - f over polynomial f as
 a linear matrix inequality, by a log-det barrier method on a working set of
 grid points grown by Remez-style exchange, and certifies its value by the
 barrier's lower bound.  For finite symbols the two routes and the Hankel norm
-must agree.  Each runs on phi ``_normalized`` and scales back its numbers;
-``approximation_report`` only composes the three, and its report checks the
-paper's sandwich on its numbers.
+must agree.  Each runs on phi ``_normalized``, the optimizer on phi's part
+outside 0 .. degree, and scales back its numbers; ``approximation_report``
+only composes the three, and its report checks the paper's sandwich.
 
 Every Hankel matrix comes from ``hankel.hankel_from_symbol``; phi and g are
 sampled by the FFT sampler of ``series``, and every sup is its sphere sup.
@@ -455,48 +455,44 @@ def optimize_distance(
     seed: int = 0,
 ) -> OptimizeResult:
     """Minimize the sampled sup of |phi - f| over Hardy polynomials f of the
-    given degree.  At grid angle t the residual gives M_t = [[A+, B+],
+    given degree: phi's coefficients at 0 .. degree go to f, so this solves
+    for psi, phi without them, from f = 0 and adds them back to
+    ``best_approx``.  At grid angle t the residual gives M_t = [[A+, B+],
     [conj B-, -conj A-]], real-affine in f's coefficients x, whose sigma_max
     is the sphere sup.  So this is: minimize s subject to [[s I, M_t],
-    [M_t^H, s I]] >= 0, solved from the truncated analytic part of phi by a
-    log-det barrier method (Boyd-Vandenberghe 2004, ch. 11; tau x 20 per
-    outer step) on a subgrid of at least 256 points; after each outer step
-    the full grid's local maxima above s join it (Remez-style exchange).
-    The sup is even in t, so only the half grid k = 0 .. grid // 2 is
-    searched and the subgrid holds half-grid points, each weighted 2 for
-    itself and its mirror -k (1 at k = 0 and grid / 2).  The bound
-    s - (nu + (lam + sqrt nu) lam / (1 - lam)) / tau (nu = 4 sum of the
-    weights, lam the Newton decrement; Nesterov 2004, Thm 4.2.7) is
-    ``lower_bound``.  phi ``_normalized`` is sampled once, in the full-grid
+    [M_t^H, s I]] >= 0, solved by a log-det barrier method (Boyd-Vandenberghe
+    2004, ch. 11; tau x 20 per outer step) on a subgrid of at least 256
+    points; after each outer step the full grid's local maxima above s join
+    it (Remez-style exchange).  The sup is even in t, so only the half grid
+    k = 0 .. grid // 2 is searched and the subgrid holds half-grid points,
+    each weighted 2 for itself and its mirror -k (1 at k = 0 and grid / 2).
+    The bound s - (nu + (lam + sqrt nu) lam / (1 - lam)) / tau (nu = 4 sum
+    of the weights, lam the Newton decrement; Nesterov 2004, Thm 4.2.7) is
+    ``lower_bound``.  psi ``_normalized`` is sampled once, in the full-grid
     check's half layout, which every working set gathers from, as one pair
     of Hessian index tables serves them all; its results are scaled back.
 
     The iterates, the best full-grid value after each outer step, are exact
-    sups for admissible competitors; a start within tol = 1e-6 sup |phi| of 0
-    is read by ``linf_norm`` of phi less it, at its own scale.  ``converged``:
-    the last is within tol of the bound; ``evaluations`` counts sup-formula
-    evaluations (line-search trials and full-grid checks).  Stopped short by
-    ``budget`` or by the working-set bound ``_WS_ENTRIES``, the best so far
-    is ``budget_exhausted``.  Deterministic: ``seed`` is unused, and kept
-    only because ``perfbench/`` passes it.
+    sups for admissible competitors.  ``converged``: the last is within
+    tol = 1e-6 times the first, sup |psi| (>= 1 at psi's scale unless psi
+    is 0), of the bound; ``evaluations`` counts sup-formula evaluations
+    (line-search trials and full-grid checks).  Stopped short by ``budget``
+    or by the working-set bound ``_WS_ENTRIES``, the best so far is
+    ``budget_exhausted``.  ``seed``, unused, is kept for ``perfbench/``.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if budget <= 0:
         raise ValueError("budget must be positive")
     _grid_guard(degree, grid)
-    phi, scale = _normalized(phi)
     d1, half = degree + 1, grid // 2 + 1
+    poly = (phi.exps >= 0) & (phi.exps <= degree)
+    psi, scale = _normalized(SliceLaurentSeries.from_rows(phi.exps[~poly], phi.rows[~poly]))
     index = _hessian_index(degree)
-    check = _HalfGrid(phi, grid, degree)
-    tol = 1e-6 * float(np.max(_sup_values(check.phi)))
-    x = np.zeros(4 * d1)
-    start = (phi.exps >= 0) & (phi.exps <= degree)
-    x.reshape(d1, 4)[phi.exps[start]] = phi.rows[start]
-    best_x, best = x, float(np.max(check.sups(x)))
-    if best <= tol:  # lost to phi's rounding and underflow: read it at its own scale
-        best = linf_norm(SliceLaurentSeries.from_rows(phi.exps[~start], phi.rows[~start]), grid)
-    evaluations, iterates, lower = 1, [best], 0.0
+    check = _HalfGrid(psi, grid, degree)
+    best_x = x = np.zeros(4 * d1)
+    best = float(np.max(check.sups(x)))
+    evaluations, iterates, lower, tol = 1, [best], 0.0, 1e-6 * best
     stride = max(1, grid // max(256, 2 * d1))
     ws = _WorkingSet(check.phi, np.arange(0, half, stride), grid, degree, index)
     s, tau = 1.05 * best, ws.nu / best if best else 0.0
@@ -531,12 +527,13 @@ def optimize_distance(
         else:
             tau *= 20.0
 
+    approx = _scale_back(best_x.reshape(d1, 4), scale, "optimizer_polynomial")
+    approx[phi.exps[poly]] += phi.rows[poly]
     return OptimizeResult(
         distance=_scale_back(best, scale, "optimized_distance"),
         lower_bound=_scale_back(lower, scale, "optimizer_lower_bound"),
         iterates=[v * scale for v in iterates],  # a trace: inf past the double range
-        best_approx=SliceLaurentSeries.from_rows(
-            np.arange(d1), _scale_back(best_x.reshape(d1, 4), scale, "optimizer_polynomial")),
+        best_approx=SliceLaurentSeries.from_rows(np.arange(d1), approx),
         evaluations=evaluations,
         status="converged" if best - lower <= tol else "budget_exhausted",
     )

@@ -316,14 +316,21 @@ def star_mul(f: SliceLaurentSeries, g: SliceLaurentSeries) -> SliceLaurentSeries
 def _fsum_products(pairs) -> list[float]:
     """The (w, x, y, z) of sum p q over the quaternion pairs (p, q), each
     component the fsum of its expanded scalar products: correctly rounded,
-    whatever the order of the pairs, so star_mul and l2_inner are exact."""
+    whatever the order of the pairs, so star_mul and l2_inner are exact.  A
+    component past the double range is refused, however fsum meets it."""
     lw, lx, ly, lz = [], [], [], []
     for (pw, px, py, pz), (qw, qx, qy, qz) in pairs:
         lw += (pw * qw, -px * qx, -py * qy, -pz * qz)
         lx += (pw * qx, px * qw, py * qz, -pz * qy)
         ly += (pw * qy, -px * qz, py * qw, pz * qx)
         lz += (pw * qz, px * qy, -py * qx, pz * qw)
-    return [fsum(lw), fsum(lx), fsum(ly), fsum(lz)]
+    try:  # an inf product, or -inf + inf, or a sum past the range
+        out = [fsum(lw), fsum(lx), fsum(ly), fsum(lz)]
+    except (ValueError, OverflowError):
+        out = [math.inf]
+    if not all(map(math.isfinite, out)):
+        raise ValueError("a product coefficient lies above the double range")
+    return out
 
 
 def conj_c(f: SliceLaurentSeries) -> SliceLaurentSeries:

@@ -138,6 +138,11 @@ class TestConfig:
         code, _, err = run(capsys, ["verify", "--grid", "1"])
         assert code == 2
         assert "error" in err
+        for flag, value in (("--budget", "0"), ("--trials", "-1")):
+            code, out, err = run(capsys, ["verify", flag, value])
+            assert code == 2
+            assert out == ""
+            assert err == "error: budget must be positive and trials nonnegative\n"
 
     @pytest.mark.parametrize("argv, limit", [
         (["verify", "--trials", "0", "--grid", "2000000000"], "1048576"),
@@ -427,9 +432,9 @@ class TestDistanceAndNorm:
 
     @pytest.mark.parametrize("a", [1e-200, 1e-300])
     def test_tiny_principal_part_distance_not_below_hankel_norm(self, tmp_path, capsys, a):
-        # phi = 1 + a q^-1: the optimizer's start, phi's analytic part, leaves
-        # a residual whose squares underflow at phi's scale; it is read at
-        # its own, so the optimized distance is a's sup, not 0
+        # phi = 1 + a q^-1: a's squares underflow at phi's scale, and the
+        # optimizer solves for a q^-1 alone at its own, so the optimized
+        # distance is a's sup, not 0
         path = tmp_path / "tiny.txt"
         save_series(SliceLaurentSeries({-1: Quaternion(a), 0: Quaternion(1.0)}), path)
         code, out, _ = run(capsys, ["distance", "--symbol", str(path)])

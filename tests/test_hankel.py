@@ -165,6 +165,20 @@ class TestHankelMatrix:
     def test_truncation_size_must_be_positive(self):
         with pytest.raises(ValueError):
             hankel_from_symbol(SliceLaurentSeries({-1: ONE}), 0)
+        with pytest.raises(ValueError, match="truncation size must be >= 1"):
+            build_hankel_matrix([ONE], 0)
+
+    def test_quaternion_matrix_refuses_malformed_input(self):
+        for data in (np.zeros((2, 2, 3)), np.zeros((2, 4))):
+            with pytest.raises(ValueError, match="shape"):
+                QuaternionMatrix(data)
+        data = np.zeros((2, 2, 4))
+        data[1, 0, 3] = math.nan
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            QuaternionMatrix(data)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            QuaternionMatrix.zeros(2, 3).matmul(QuaternionMatrix.zeros(2, 3))
+        assert operator_norm(QuaternionMatrix.zeros(0, 3)) == 0.0
 
 
 class TestComplexEmbedding:
@@ -383,8 +397,10 @@ class TestMatrixFree:
                 assert not m.data.flags.writeable
                 with pytest.raises(ValueError):
                     m.data[0, 0, 0] = 1.0
-        with pytest.raises(ValueError, match="finite"):
-            build_hankel_matrix([Quaternion(math.inf)], 3)
+        # Quaternion(inf) cannot be made: the view's own check is reached
+        # from the raw antidiagonal
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            HankelMatrix(np.array([[np.inf, 0.0, 0.0, 0.0]]))
 
     def test_fft_products_match_embedding(self):
         rng = np.random.default_rng(47)

@@ -92,6 +92,13 @@ class TestQuaternion:
             Quaternion(math.nan)
         with pytest.raises(ValueError):
             Quaternion(0.0, math.inf)
+        with pytest.raises(ValueError, match="imaginary unit components must be finite"):
+            ImaginaryUnit(1.0, math.nan, 0.0)
+        for angle in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="angle must be finite"):
+                exp_unit(angle, REFERENCE_UNIT)
+            with pytest.raises(ValueError, match="angle must be finite"):
+                BoundaryPoint(REFERENCE_UNIT, angle)
 
     def test_scalar_operations(self):
         q = Quaternion(1, 2, 3, 4)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicehankel import arrays
+from slicehankel.hankel import apply_H
 from slicehankel.quat import (
     REFERENCE_UNIT,
     BoundaryPoint,
@@ -240,6 +241,22 @@ class TestStarAlgebra:
                 assert fs == star_mul(f, conj_c(f))
                 assert not fs.rows[:, 1:].any()
                 assert not np.signbit(fs.rows[:, 1:]).any()
+
+    def test_product_above_the_double_range_is_refused(self):
+        # fsum meets an overflow as -inf + inf, as one inf product, or as a
+        # finite sum past the range: one ValueError for all three
+        f = SliceLaurentSeries({0: Quaternion(1e300, 1e300), 1: Quaternion(1e300)})
+        g = SliceLaurentSeries({0: Quaternion(1e200), 1: Quaternion(1e200)})
+        h = SliceLaurentSeries({n: Quaternion(1e154) for n in range(3)})
+        k = SliceLaurentSeries({n: Quaternion(1.5e154) for n in range(3)})
+        calls = [lambda: star_mul(f, f), lambda: symmetrize(f), lambda: l2_inner(f, f),
+                 lambda: star_mul(g, g), lambda: star_mul(h, k), lambda: l2_inner(h, k),
+                 lambda: apply_H(SliceLaurentSeries({-1: Quaternion(1e300)}),
+                                 SliceLaurentSeries({0: Quaternion(1e300)}))]
+        for call in calls:
+            with pytest.raises(ValueError, match="^a product coefficient lies above the "
+                                                 "double range$"):
+                call()
 
     def test_recip_star_of_monomial(self):
         # f = q: f^s = q^2, f^c = q, so the star-reciprocal is e^{-tI}
@@ -678,6 +695,12 @@ class TestArrayStore:
         rows = np.array([[-0.0, -0.0, -0.0, -0.0], [0.0, 0.0, 0.0, 0.0], [-0.0, 1.0, 0.0, 0.0]])
         g = SliceLaurentSeries.from_rows([-4, 0, 6], rows)
         assert g.support == (6,) and bits(g)[1] == rows[2:].view(np.int64).tolist()
+        # a non-finite row is refused, not dropped or kept
+        rows[1, 2] = math.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            SliceLaurentSeries.from_rows([-4, 0, 6], rows)
+        with pytest.raises(TypeError, match="must be quaternions"):
+            SliceLaurentSeries({0: 1.0})
 
     def test_store_rejects_writes(self):
         rows = np.array([[1.0, 2.0, 3.0, 4.0]])
