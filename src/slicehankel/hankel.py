@@ -1,6 +1,7 @@
 """Truncated Hankel operators as quaternion matrices, the complex embedding,
-operator norms and top singular pairs (dense SVD up to 96 rows or columns,
-Golub-Kahan-Lanczos above), the bilinear form and the shift machinery.
+operator norms and top singular pairs (the Hermitian eigensolver on the
+embedding's Gram matrix up to 96 rows or columns, Golub-Kahan-Lanczos above),
+the bilinear form and the shift machinery.
 
 A Hankel matrix keeps only its (2N - 1, 4) antidiagonal: its dense entries
 are a read-only strided view, and above the dense crossover Lanczos applies
@@ -8,13 +9,14 @@ its complex embedding by length-2N FFT correlations in O(N) memory."""
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from . import arrays
 from .quat import Quaternion
-from .series import SliceLaurentSeries, project_minus, star_mul
+from .series import SliceLaurentSeries, _scale_back, project_minus, star_mul
 
 __all__ = [
     "QuaternionMatrix",
@@ -240,16 +242,17 @@ def deembed_vector(u: np.ndarray) -> np.ndarray:
     return arrays.from_pairs(u[0::2], -np.conj(u[1::2]))
 
 
-# up to this many rows or columns a dense values-only SVD keeps up with
+# up to this many rows or columns the dense Gram eigenvalue keeps up with
 # Lanczos on a flat spectrum, Lanczos's slowest case (random Hankel blocks;
 # median ms of 8 seeds, one BLAS thread, 2 vCPUs):
 #     N         64    80    88    96   104   112   128
-#     dense    3.0   5.0   6.2   7.4   9.2  11.2  16.1
-#     Lanczos  7.1   8.7   8.5   8.2   8.3   8.5   7.6
-# The tie falls at 96-104 as the host's speed drifts; at 96, the lower end,
-# every size keeps the path it had.  Decaying spectra cross earlier (Hilbert
-# at N = 128: 10.3 ms dense, 1.0 ms Lanczos), and a dense pair SVD costs
-# about twice the values-only one.
+#     dense    2.9   5.0   6.1   7.4   8.9  10.7  10.9
+#     Lanczos  8.2  10.2   9.5  10.3   9.8   8.8   6.0
+# The tie falls at 104-112 as the host's speed drifts; 96, below it, keeps
+# every size on one path across hosts, N = 97's pinned Lanczos pair among
+# them.  Decaying spectra cross earlier (Hilbert at N = 128: 10.6 ms dense,
+# 0.8 ms Lanczos), and the dense pair's eigh costs 1.7-2.0 times the
+# values-only eigvalsh.
 DENSE_SVD_MAX_SIZE = 96
 
 
@@ -258,27 +261,66 @@ def operator_norm(m: QuaternionMatrix) -> float:
 
     Computed as the top singular value of the complex embedding; the embedding
     is a norm-preserving bijection on column vectors, so the two sups agree.
-    Up to DENSE_SVD_MAX_SIZE rows or columns this is a dense values-only SVD;
+    Up to DENSE_SVD_MAX_SIZE rows or columns this is the square root of the
+    top eigenvalue of the embedding's Gram matrix (``_dense_top_pair``);
     above, it is ``top_singular_pair(m)[0]``, the Golub-Kahan-Lanczos Ritz
     value θ, within about 1e-12 relative of the dense value.  θ ≤ σ_max in
     exact arithmetic, so a Hankel norm stays a lower bound on every analytic
     distance; in floating point θ can land an ulp or so above the dense value.
     """
-    if m.rows == 0 or m.cols == 0:
-        return 0.0
     if min(m.rows, m.cols) <= DENSE_SVD_MAX_SIZE:
-        return float(np.linalg.svd(complex_embed(m), compute_uv=False)[0])
+        return _dense_top_pair(m, vector=False)[0]
     return top_singular_pair(m)[0]
 
 
 def top_singular_pair(m: QuaternionMatrix) -> tuple[float, np.ndarray]:
     """Top singular value and a unit top right singular vector of the complex
-    embedding: a full dense SVD up to DENSE_SVD_MAX_SIZE rows or columns, the
-    Lanczos Ritz pair above, from the products of ``m.embedded_operator()``."""
+    embedding: the top eigenpair of its Gram matrix (``_dense_top_pair``) up
+    to DENSE_SVD_MAX_SIZE rows or columns, the Lanczos Ritz pair above, from
+    the products of ``m.embedded_operator()``.  A matrix without rows has
+    (0, e_0); one without columns has no vector, and raises."""
+    if m.cols == 0:
+        raise ValueError("a matrix without columns has no singular vector")
     if min(m.rows, m.cols) <= DENSE_SVD_MAX_SIZE:
-        _, sv, vh = np.linalg.svd(complex_embed(m))
-        return float(sv[0]), np.conj(vh[0])
+        return _dense_top_pair(m, vector=True)
     return _lanczos_top_singular_value(*m.embedded_operator())
+
+
+def _dense_top_pair(m: QuaternionMatrix, vector: bool) -> tuple[float, np.ndarray | None]:
+    """σ and, if ``vector``, a unit top right singular vector v of the
+    embedding E, from the Hermitian eigensolver on its Gram matrix G on the
+    smaller side: G = E^H E with v its top eigenvector, or for a wide E,
+    G = E E^H with top eigenvector u and v = E^H u / σ; (0, e_0) for E = 0.
+
+    E is first scaled by the power of two that puts its largest component in
+    [1, 2), exactly, so that no square in G under- or overflows; σ is scaled
+    back, and refused when it lies above the double range.  G = χ(M^* M)
+    (or χ(M M^*)) is an embedded quaternion matrix, so one product gives its
+    even rows and its odd rows are their conjugated copies: (-conj b, conj a)
+    below each (a, b)."""
+    e = complex_embed(m)
+    parts = e.view(float)
+    top = max(float(parts.max(initial=0.0)), -float(parts.min(initial=0.0)))
+    if top == 0.0:
+        return 0.0, np.eye(1, 2 * m.cols, dtype=complex)[0]
+    shift = 1 - math.frexp(top)[1]
+    np.ldexp(parts, shift, out=parts)
+    scale = math.ldexp(1.0, -shift)
+    wide = m.rows < m.cols
+    f = np.conj(e.T) if wide else e
+    gram = np.empty((f.shape[1], f.shape[1]), dtype=complex)
+    even, odd = gram[0::2], gram[1::2]
+    np.matmul(np.conj(f[:, 0::2].T), f, out=even)
+    np.conjugate(even[:, 0::2], out=odd[:, 1::2])
+    np.conjugate(even[:, 1::2], out=odd[:, 0::2])
+    np.negative(odd[:, 0::2], out=odd[:, 0::2])
+    if not vector:
+        sigma = math.sqrt(float(np.linalg.eigvalsh(gram)[-1]))
+        return _scale_back(sigma, scale, "operator norm"), None
+    lam, vecs = np.linalg.eigh(gram)
+    sigma = math.sqrt(float(lam[-1]))
+    v = f @ vecs[:, -1] / sigma if wide else vecs[:, -1]
+    return _scale_back(sigma, scale, "operator norm"), v
 
 
 def _reorthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 bounded-regular approximation, and an independent minimax optimizer.
 
 The constructive route realizes f = phi - (H_phi g) * g^{-*} on grid samples,
-g a maximizing vector from the SVD of the complex embedding: h = H_phi g =
+g a maximizing vector, the top right singular vector of the complex
+embedding (``hankel.top_singular_pair``): h = H_phi g =
 P_-(phi * g) by one FFT round trip and, as g^{-*} = g^c * (g^s)^{-*} with g^s
 real, the correction (h * g^c) / g^s.  g fixes f exactly, as f = N / g^s with
 N = P_+(phi * g) * g^c, so the route returns g and not f's coefficients.
@@ -84,7 +85,7 @@ def _hankel_block(phi: SliceLaurentSeries) -> HankelMatrix:
 def hankel_norm(phi: SliceLaurentSeries, N: int | None = None) -> float:
     """Operator norm of the Hankel operator of phi.
 
-    The SVD runs on the k x k block of nonzero entries, k = -n_min, which
+    The norm is taken of the k x k block of nonzero entries, k = -n_min, which
     any N x N truncation with N >= k only pads with zeros.  N is unused,
     and kept only because ``perfbench/`` passes it.
     """
@@ -94,8 +95,8 @@ def hankel_norm(phi: SliceLaurentSeries, N: int | None = None) -> float:
 
 def maximizing_vector(phi: SliceLaurentSeries,
                       N: int | None = None) -> SliceLaurentSeries:
-    """Unit g in the Hardy space with ||H_phi g|| = ||H_phi|| (up to SVD
-    tolerance), the vector of ``_schmidt_pair``; a zero operator has none, and
+    """Unit g in the Hardy space with ||H_phi g|| = ||H_phi|| (up to rounding),
+    the vector of ``_schmidt_pair``; a zero operator has none, and
     raises.  N is unused, and kept only because ``perfbench/`` passes it."""
     g = _schmidt_pair(_normalized(phi)[0])
     if g is None:
@@ -105,8 +106,9 @@ def maximizing_vector(phi: SliceLaurentSeries,
 
 def _schmidt_pair(phi: SliceLaurentSeries) -> SliceLaurentSeries | None:
     """The vector g of the top Schmidt pair (sigma, g) of H_phi, phi
-    ``_normalized``, from the embedded k x k block of nonzero entries (dense
-    SVD up to 96, Lanczos above); None for sigma <= _ZERO_NORM_TOL.
+    ``_normalized``, from the embedded k x k block of nonzero entries (the top
+    eigenvector of its Gram matrix up to 96, Lanczos above); None for
+    sigma <= _ZERO_NORM_TOL.
 
     g is defined up to a right unit-quaternion factor; the gauge fixed here
     makes its lowest nonzero coefficient real and positive."""

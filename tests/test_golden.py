@@ -2,9 +2,9 @@
 
 Each case runs ``python -m slicehankel`` in a subprocess from
 ``tests/golden/`` with OpenBLAS, OpenMP and MKL pinned to one thread, and
-compares the bytes with the stored files.  The pin matters: a dense SVD can
-differ in its last bit between thread counts, so unpinned files would depend
-on the machine.  A change that moves an algorithm on purpose regenerates them
+compares the bytes with the stored files.  The pin matters: a dense LAPACK
+call can differ in its last bit between thread counts, so unpinned files
+would depend on the machine.  A change that moves an algorithm on purpose regenerates them
 with
 
     python tests/test_golden.py --regen

@@ -305,8 +305,10 @@ class TestOperatorNorm:
         rng = np.random.default_rng(42)
         small = random_matrix(rng, hankel.DENSE_SVD_MAX_SIZE, 300)
         large = random_matrix(rng, hankel.DENSE_SVD_MAX_SIZE + 1, 300)
-        assert operator_norm(small) == float(
-            np.linalg.svd(complex_embed(small), compute_uv=False)[0])
+        dense = hankel._dense_top_pair(small, vector=False)[0]
+        assert operator_norm(small) == dense
+        svd = float(np.linalg.svd(complex_embed(small), compute_uv=False)[0])
+        assert abs(dense - svd) <= 1e-14 * svd
         a = complex_embed(large)
         assert operator_norm(large) == hankel._lanczos_top_singular_value(
             lambda v: a @ v, lambda u: np.conj(a.T @ np.conj(u)), a.shape)[0]
@@ -314,7 +316,7 @@ class TestOperatorNorm:
         for n in (hankel.DENSE_SVD_MAX_SIZE, hankel.DENSE_SVD_MAX_SIZE + 1):
             m = build_hankel_matrix(random_alpha(rng, 2 * n - 1), n)
             expected = (
-                float(np.linalg.svd(complex_embed(m), compute_uv=False)[0])
+                hankel._dense_top_pair(m, vector=False)[0]
                 if n <= hankel.DENSE_SVD_MAX_SIZE
                 else hankel._lanczos_top_singular_value(*m.embedded_operator())[0]
             )
@@ -330,8 +332,51 @@ class TestOperatorNorm:
             vq = deembed_vector(v)
             assert np.linalg.norm(m.apply(vq)) == pytest.approx(sigma, rel=1e-10)
 
+    def test_dense_kernel_matches_svd(self):
+        # σ from the Gram eigensolver within 1e-14 relative of the SVD's, and
+        # ||E v|| attains it as closely (1.9e-15 at worst over 300 blocks):
+        # flat and Hilbert blocks of every dense size, tall and wide ones,
+        # scaled by 2^±500, and components spanning 2^-600 .. 1, alone and
+        # times 2^-600, where every square underflows unless E is scaled
+        rng = np.random.default_rng(49)
+        cases = []
+        for n in range(1, hankel.DENSE_SVD_MAX_SIZE + 1):
+            cases.append(pinned_matrix("flat", n))
+            cases.append(pinned_matrix("hilbert", n))
+        for r, c in [(1, 7), (7, 1), (5, 40), (40, 5), (96, 300), (300, 96), (30, 31)]:
+            cases.append(random_matrix(rng, r, c))
+        for e in (500, -500):
+            cases.append(QuaternionMatrix(np.ldexp(rng.normal(size=(9, 6, 4)), e)))
+            cases.append(QuaternionMatrix(np.ldexp(rng.normal(size=(6, 9, 4)), e)))
+        spread = np.ldexp(rng.normal(size=(8, 8, 4)), rng.integers(-600, 1, size=(8, 8, 4)))
+        spread[0, 0, 0] = 1.0
+        cases += [QuaternionMatrix(spread), QuaternionMatrix(np.ldexp(spread, -600))]
+        for m in cases:
+            a = complex_embed(m)
+            svd = float(np.linalg.svd(a, compute_uv=False)[0])
+            sigma, v = hankel.top_singular_pair(m)
+            assert abs(operator_norm(m) - svd) <= 1e-14 * svd
+            assert abs(sigma - svd) <= 1e-14 * svd
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+            assert abs(np.linalg.norm(a @ v / svd) - 1.0) <= 1e-14
+        zero = QuaternionMatrix.zeros(3, 5)
+        assert operator_norm(zero) == 0.0
+        sigma, v = hankel.top_singular_pair(zero)
+        assert sigma == 0.0 and np.array_equal(v, np.eye(10)[0])
+        # a norm above the double range is refused, not read as inf
+        huge = QuaternionMatrix(np.full((2, 2, 4), 1e308))
+        for call in (operator_norm, hankel.top_singular_pair):
+            with pytest.raises(ValueError, match="above the double range"):
+                call(huge)
+
     def test_lanczos_exact_cases_and_determinism(self):
         assert operator_norm(QuaternionMatrix.zeros(300, 300)) == 0.0
+        # no rows: the zero operator's (0, e_0); no columns: no vector at all
+        sigma, v = hankel.top_singular_pair(QuaternionMatrix.zeros(0, 3))
+        assert sigma == 0.0 and np.array_equal(v, np.eye(6)[0])
+        for rows in (3, 0):
+            with pytest.raises(ValueError, match="without columns"):
+                hankel.top_singular_pair(QuaternionMatrix.zeros(rows, 0))
         eye = np.zeros((300, 300, 4))
         eye[np.arange(300), np.arange(300), 0] = 1.0
         assert operator_norm(QuaternionMatrix(eye)) == pytest.approx(1.0, abs=1e-15)
